@@ -19,23 +19,21 @@ namespace codes::bench {
 /// to the path given by a `--metrics-out=PATH` argument; a no-op when the
 /// flag is absent. Call at the end of a bench main so campaigns can
 /// harvest machine-readable per-stage breakdowns alongside the printed
-/// tables.
-inline void WriteMetricsIfRequested(int argc, char** argv) {
+/// tables. Returns false (after saying why) when the write failed.
+inline bool WriteMetricsIfRequested(int argc, char** argv) {
   constexpr std::string_view kFlag = "--metrics-out=";
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
     if (arg.substr(0, kFlag.size()) != kFlag) continue;
     std::string path(arg.substr(kFlag.size()));
-    std::FILE* out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return;
+    Status written = MetricsRegistry::Global().Snapshot().WriteJsonFile(path);
+    if (!written.ok()) {
+      std::fprintf(stderr, "%s\n", written.ToString().c_str());
+      return false;
     }
-    std::string json = MetricsRegistry::Global().SnapshotJson();
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
     std::fprintf(stderr, "metrics snapshot written to %s\n", path.c_str());
   }
+  return true;
 }
 
 /// Fixed-width table printer.

@@ -959,7 +959,7 @@ int main(int argc, char** argv) {
   codes::bench::PerfReport report("latency", quick ? "quick" : "full");
   report.SetCalibration(codes::bench::CalibrateOpsPerSec());
   codes::Run(&report, quick);
-  codes::bench::WriteMetricsIfRequested(argc, argv);
+  if (!codes::bench::WriteMetricsIfRequested(argc, argv)) return 1;
   if (!report.WriteIfRequested(argc, argv)) return 1;
   return 0;
 }

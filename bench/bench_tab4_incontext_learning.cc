@@ -80,6 +80,5 @@ void Run() {
 
 int main(int argc, char** argv) {
   codes::Run();
-  codes::bench::WriteMetricsIfRequested(argc, argv);
-  return 0;
+  return codes::bench::WriteMetricsIfRequested(argc, argv) ? 0 : 1;
 }

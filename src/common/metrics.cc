@@ -1,8 +1,10 @@
 #include "common/metrics.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <mutex>
 
 namespace codes {
@@ -277,8 +279,78 @@ std::string MetricsSnapshot::ToJson() const {
   return out;
 }
 
-std::string MetricsRegistry::SnapshotJson() const {
-  return Snapshot().ToJson() + "\n";
+uint64_t MetricsSnapshot::CounterOr0(const std::string& name) const {
+  auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
+
+Status MetricsSnapshot::WriteJsonFile(const std::string& path) const {
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  if (out == nullptr) {
+    return Status::Internal("cannot open " + path + ": " +
+                            std::strerror(errno));
+  }
+  std::string json = ToJson() + "\n";
+  bool written = std::fwrite(json.data(), 1, json.size(), out) == json.size();
+  // fclose flushes the buffered tail, so it can fail where fwrite did not.
+  bool closed = std::fclose(out) == 0;
+  if (!written || !closed) {
+    return Status::Internal("cannot write " + path + ": " +
+                            std::strerror(errno));
+  }
+  return Status::Ok();
+}
+
+std::string MetricInvariant::ToString() const {
+  std::string out = total + (at_most ? " >= " : " == ");
+  for (size_t i = 0; i < parts.size(); ++i) {
+    if (i > 0) out += " + ";
+    out += parts[i];
+  }
+  return out;
+}
+
+namespace {
+
+/// Whether `counter` is named by `part`: equal, or under a ".*" prefix.
+bool PartMatches(std::string_view part, std::string_view counter) {
+  if (part.size() >= 2 && part.substr(part.size() - 2) == ".*") {
+    part.remove_suffix(1);  // keep the dot
+    return counter.substr(0, part.size()) == part;
+  }
+  return counter == part;
+}
+
+}  // namespace
+
+void MetricsRegistry::DeclareInvariant(MetricInvariant invariant) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  std::string key = invariant.ToString();
+  invariants_.try_emplace(std::move(key), std::move(invariant));
+}
+
+std::map<std::string, MetricInvariant> MetricsRegistry::Invariants() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  return invariants_;
+}
+
+std::vector<MetricsSnapshot::InvariantCheck> MetricsSnapshot::CheckInvariants()
+    const {
+  std::vector<InvariantCheck> checks;
+  for (const auto& [text, invariant] : MetricsRegistry::Global().Invariants()) {
+    InvariantCheck check;
+    check.invariant = text;
+    check.total = CounterOr0(invariant.total);
+    for (const auto& [name, value] : counters) {
+      for (const std::string& part : invariant.parts) {
+        if (PartMatches(part, name)) check.parts += value;
+      }
+    }
+    check.holds = invariant.at_most ? check.parts <= check.total
+                                    : check.parts == check.total;
+    checks.push_back(std::move(check));
+  }
+  return checks;
 }
 
 void MetricsRegistry::Reset() {

@@ -10,6 +10,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
+
 namespace codes {
 
 /// Process-wide observability metrics: named counters, gauges, and
@@ -134,6 +136,38 @@ struct MetricsSnapshot {
   /// Deterministic JSON rendering (the --metrics-out format; schema in
   /// DESIGN.md).
   std::string ToJson() const;
+
+  /// The named counter's value; 0 when it was never registered.
+  uint64_t CounterOr0(const std::string& name) const;
+
+  /// Writes ToJson() plus a trailing newline to `path`, reporting open,
+  /// write and close failures alike.
+  Status WriteJsonFile(const std::string& path) const;
+
+  /// One declared invariant evaluated against this snapshot.
+  struct InvariantCheck {
+    std::string invariant;  ///< MetricInvariant::ToString()
+    uint64_t total = 0;     ///< value of the invariant's `total` counter
+    uint64_t parts = 0;     ///< sum of its `parts` counters
+    bool holds = false;
+  };
+  /// Evaluates every invariant declared on the global registry against
+  /// this snapshot's counters (an absent counter reads 0), in invariant
+  /// text order. Only meaningful for a snapshot of a quiesced registry.
+  std::vector<InvariantCheck> CheckInvariants() const;
+};
+
+/// An accounting identity over counters that holds whenever the registry
+/// is quiescent: `total` equals the sum of `parts` (or, with `at_most`,
+/// bounds it from above). A part ending in ".*" stands for every counter
+/// under that prefix. Declared where the counters are registered.
+struct MetricInvariant {
+  std::string total;
+  std::vector<std::string> parts;
+  bool at_most = false;
+
+  /// "total == a + b" / "total >= family.*": the identity's name.
+  std::string ToString() const;
 };
 
 /// The process-wide metric registry. Get* registers on first use and
@@ -148,8 +182,13 @@ class MetricsRegistry {
   Histogram& GetHistogram(std::string_view name);
 
   MetricsSnapshot Snapshot() const;
-  /// Snapshot().ToJson() plus trailing newline.
-  std::string SnapshotJson() const;
+
+  /// Declares an accounting identity that MetricsSnapshot::CheckInvariants
+  /// evaluates. Call it next to the GetCounter calls of the counters it
+  /// relates; redeclaring an identical invariant is a no-op.
+  void DeclareInvariant(MetricInvariant invariant);
+  /// Every declared invariant, keyed by its ToString().
+  std::map<std::string, MetricInvariant> Invariants() const;
 
   /// Zeroes every value; registrations (and outstanding references)
   /// survive. Not safe concurrently with writers — quiesce first.
@@ -176,6 +215,7 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+  std::map<std::string, MetricInvariant> invariants_;
 };
 
 }  // namespace codes

@@ -97,10 +97,6 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
   return out;
 }
 
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.substr(s.size() - suffix.size()) == suffix;
@@ -163,14 +159,6 @@ bool ParseUint64(std::string_view s, uint64_t* out) {
              s, &value,
              [](const char* p, char** e) { return std::strtoull(p, e, 10); }) &&
          (*out = value, true);
-}
-
-bool ParseSize(std::string_view s, size_t* out) {
-  uint64_t value = 0;
-  if (!ParseUint64(s, &value)) return false;
-  if (value > std::numeric_limits<size_t>::max()) return false;
-  *out = static_cast<size_t>(value);
-  return true;
 }
 
 bool ParseFiniteDouble(std::string_view s, double* out) {

@@ -32,7 +32,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 std::string ReplaceAll(std::string_view s, std::string_view from,
                        std::string_view to);
 
-bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// True if `needle` occurs in `haystack` ignoring ASCII case.
@@ -48,7 +47,6 @@ std::string FormatDouble(double value, int digits);
 /// how a mistyped --queries flag once ran a 0-query campaign "green".
 bool ParseInt(std::string_view s, int* out);
 bool ParseUint64(std::string_view s, uint64_t* out);
-bool ParseSize(std::string_view s, size_t* out);
 /// Finite decimal doubles only ("0.25", "1e-3"); rejects inf/nan.
 bool ParseFiniteDouble(std::string_view s, double* out);
 

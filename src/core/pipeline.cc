@@ -17,9 +17,8 @@ namespace {
 
 /// Serving counters. Every PredictGuarded call increments serve.requests
 /// and exactly one serve.outcome.* counter (its most degraded fired rung,
-/// or "clean"), so the outcome family always sums to the request count —
-/// the invariant codes_chaos and chaos CI assert on the exported
-/// snapshot. Per-rung counters count every fired rung independently.
+/// or "clean"); per-rung counters count every fired rung independently.
+/// The accounting identities are declared in the constructor.
 struct ServeMetrics {
   Counter& requests = MetricsRegistry::Global().GetCounter("serve.requests");
   Counter& verified = MetricsRegistry::Global().GetCounter("serve.verified");
@@ -37,9 +36,8 @@ struct ServeMetrics {
   Counter& outcome_clean =
       MetricsRegistry::Global().GetCounter("serve.outcome.clean");
   /// Adversarial-input partition: every request is exactly one of
-  /// adv.clean / adv.suspect, so the pair always sums to serve.requests
-  /// (the invariant the adversarial CI leg asserts). The retry counters
-  /// track the canonical-question second chance suspect requests get.
+  /// adv.clean / adv.suspect. The retry counters track the
+  /// canonical-question second chance suspect requests get.
   Counter& adv_clean =
       MetricsRegistry::Global().GetCounter("serve.adv.clean");
   Counter& adv_suspect =
@@ -54,6 +52,17 @@ struct ServeMetrics {
       &MetricsRegistry::Global().GetCounter("serve.outcome.value_fallback"),
       &MetricsRegistry::Global().GetCounter("serve.outcome.repair"),
       &MetricsRegistry::Global().GetCounter("serve.outcome.emergency_sql")};
+
+  ServeMetrics() {
+    MetricsRegistry& r = MetricsRegistry::Global();
+    // Each request lands in exactly one outcome and is either clean or
+    // suspect.
+    r.DeclareInvariant({"serve.requests", {"serve.outcome.*"}});
+    r.DeclareInvariant(
+        {"serve.requests", {"serve.adv.clean", "serve.adv.suspect"}});
+    // A canonical rescue implies at least one canonical retry.
+    r.DeclareInvariant({"serve.adv.retry", {"serve.adv.retry_served"}, true});
+  }
 };
 
 ServeMetrics& Metrics() {

@@ -12,10 +12,10 @@ namespace serve {
 namespace {
 
 /// The serve.* admission/shedding/brownout/breaker metric families. The
-/// counters obey the sum invariant documented on ServeFrontEnd; gauges
-/// mirror the controllers' current state; the wait histogram is observed
-/// in the caller's clock domain (virtual µs under codes_load, wall µs in
-/// live serving).
+/// counters obey the accounting identities declared in the constructor;
+/// gauges mirror the controllers' current state; the wait histogram is
+/// observed in the caller's clock domain (virtual µs under codes_load,
+/// wall µs in live serving).
 struct FrontEndMetrics {
   Counter& offered = MetricsRegistry::Global().GetCounter("serve.offered");
   Counter& admitted = MetricsRegistry::Global().GetCounter("serve.admitted");
@@ -73,6 +73,21 @@ struct FrontEndMetrics {
           "serve.breaker.value_retrieval.to_closed"),
       &MetricsRegistry::Global().GetCounter(
           "serve.breaker.generation.to_closed")};
+
+  FrontEndMetrics() {
+    MetricsRegistry& r = MetricsRegistry::Global();
+    // Every offered request lands in exactly one of admitted / rejected /
+    // shed, and each of the latter two splits by cause.
+    r.DeclareInvariant(
+        {"serve.offered", {"serve.admitted", "serve.rejected", "serve.shed"}});
+    r.DeclareInvariant({"serve.rejected",
+                        {"serve.rejected.rate", "serve.rejected.queue_full",
+                         "serve.rejected.tenant_rate"}});
+    r.DeclareInvariant(
+        {"serve.shed", {"serve.shed.deadline", "serve.shed.drain"}});
+    // Only an admitted request completes, at exactly one brownout level.
+    r.DeclareInvariant({"serve.admitted", {"serve.brownout.served.*"}, true});
+  }
 };
 
 FrontEndMetrics& Metrics() {
@@ -118,6 +133,11 @@ ServeFrontEnd::ServeFrontEnd(const CodesPipeline* pipeline,
                        &registry.GetCounter(prefix + "admitted"),
                        &registry.GetCounter(prefix + "rejected"),
                        &registry.GetCounter(prefix + "shed")});
+    // The global partition, per tenant: shed and expired requests count
+    // against the tenant that offered them.
+    registry.DeclareInvariant(
+        {prefix + "offered",
+         {prefix + "admitted", prefix + "rejected", prefix + "shed"}});
   }
 }
 

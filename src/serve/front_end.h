@@ -55,8 +55,8 @@ struct FrontEndOptions {
   HardenOptions harden;
   /// Tenant display names, parallel to admission.tenants. When non-empty,
   /// every offer/admit/reject/shed is also attributed to a
-  /// serve.tenant.<name>.* counter family so the global sum invariant can
-  /// be checked per tenant.
+  /// serve.tenant.<name>.* counter family, which carries the global
+  /// accounting invariant per tenant.
   std::vector<std::string> tenant_names;
 };
 
@@ -65,18 +65,11 @@ struct FrontEndOptions {
 /// deadline-aware queue, per-stage circuit breakers, and the adaptive
 /// brownout controller, all emitting the serve.* metric families.
 ///
-/// Metric accounting contract (asserted by codes_load and overload CI):
-/// every offered request lands in exactly one of admitted / rejected /
-/// shed, so
-///
-///   serve.admitted + serve.rejected + serve.shed == serve.offered
-///
-/// with serve.rejected = serve.rejected.rate + serve.rejected.queue_full
-/// + serve.rejected.tenant_rate and serve.shed = serve.shed.deadline +
-/// serve.shed.drain. With tenants configured the same invariant holds for
-/// every serve.tenant.<name>.{offered,admitted,rejected,shed} family —
-/// shed and expired requests attribute to the tenant that offered them,
-/// not to whichever request's dequeue happened to flush them.
+/// Metric accounting contract: every offered request lands in exactly one
+/// of admitted / rejected / shed, globally and per configured tenant. The
+/// identities are declared as MetricInvariants where front_end.cc
+/// registers the counters, and MetricsSnapshot::CheckInvariants (run by
+/// every campaign tool before it exports a snapshot) evaluates them.
 ///
 /// Two usage modes share all decision logic:
 ///

@@ -70,8 +70,8 @@ struct CrashCampaignResult {
   uint64_t failures = 0;
   /// FNV-1a over per-case outcome lines in enumeration order.
   uint64_t digest = 0;
-  /// storage.recovery.* counter deltas across the campaign; the tool and
-  /// CI assert replayed + discarded == wal_records_seen.
+  /// storage.recovery.* counter deltas across the campaign (their
+  /// accounting identity is declared in storage_db.cc).
   uint64_t recovery_runs = 0;
   uint64_t wal_records_seen = 0;
   uint64_t wal_records_replayed = 0;

@@ -23,25 +23,30 @@ constexpr PageId kCatalogPageId = 0;
 constexpr size_t kHeadHeaderBytes = 12;
 constexpr size_t kContHeaderBytes = 8;
 
-Counter& RecoveryRunsCounter() {
-  static Counter& c =
+/// Recovery accounting: every WAL record a recovery scans is either
+/// replayed or discarded — no third bucket, no double counting. The three
+/// are bumped together once a scan is classified, so the identity holds
+/// even when a recovery fails part-way.
+struct RecoveryMetrics {
+  Counter& runs =
       MetricsRegistry::Global().GetCounter("storage.recovery.runs");
-  return c;
-}
-Counter& RecoverySeenCounter() {
-  static Counter& c = MetricsRegistry::Global().GetCounter(
+  Counter& seen = MetricsRegistry::Global().GetCounter(
       "storage.recovery.wal_records_seen");
-  return c;
-}
-Counter& RecoveryReplayedCounter() {
-  static Counter& c =
+  Counter& replayed =
       MetricsRegistry::Global().GetCounter("storage.recovery.replayed");
-  return c;
-}
-Counter& RecoveryDiscardedCounter() {
-  static Counter& c =
+  Counter& discarded =
       MetricsRegistry::Global().GetCounter("storage.recovery.discarded");
-  return c;
+
+  RecoveryMetrics() {
+    MetricsRegistry::Global().DeclareInvariant(
+        {"storage.recovery.wal_records_seen",
+         {"storage.recovery.replayed", "storage.recovery.discarded"}});
+  }
+};
+
+RecoveryMetrics& Recovery() {
+  static RecoveryMetrics* metrics = new RecoveryMetrics();  // never freed
+  return *metrics;
 }
 Counter& CheckpointCounter() {
   static Counter& c =
@@ -280,10 +285,9 @@ Result<std::unique_ptr<StorageDb>> StorageDb::Open(const std::string& path,
 
 Status StorageDb::Recover(DiskManager* disk, Wal* wal) {
   CODES_TRACE_SPAN(span, "storage.recovery.replay");
-  RecoveryRunsCounter().Increment();
+  RecoveryMetrics& metrics = Recovery();
+  metrics.runs.Increment();
   CODES_ASSIGN_OR_RETURN(Wal::ScanResult scan, wal->ReadAll());
-  const uint64_t seen = scan.records.size() + scan.torn_tail_records;
-  RecoverySeenCounter().Increment(seen);
 
   // The committed prefix ends at the last commit/checkpoint marker; page
   // images after it belong to a batch whose commit never became durable.
@@ -309,8 +313,9 @@ Status StorageDb::Recover(DiskManager* disk, Wal* wal) {
   }
   const uint64_t discarded =
       (scan.records.size() - end) + scan.torn_tail_records;
-  RecoveryReplayedCounter().Increment(replayed);
-  RecoveryDiscardedCounter().Increment(discarded);
+  metrics.seen.Increment(scan.records.size() + scan.torn_tail_records);
+  metrics.replayed.Increment(replayed);
+  metrics.discarded.Increment(discarded);
 
   // Materialize the recovered state and reset the log so a crash during
   // (or right after) recovery re-runs it from an equally valid prefix —

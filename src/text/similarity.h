@@ -31,16 +31,6 @@ int LongestCommonSubstringLengthReferenceDp(std::string_view a,
 /// in [0,1]. Returns 0 when either string is empty.
 double LcsMatchDegree(std::string_view a, std::string_view b);
 
-/// Length of the longest common subsequence (order-preserving, with gaps).
-int LongestCommonSubsequenceLength(std::string_view a, std::string_view b);
-
-/// Levenshtein edit distance between `a` and `b` (case-sensitive).
-int EditDistance(std::string_view a, std::string_view b);
-
-/// Jaccard similarity of the two token sets.
-double JaccardSimilarity(const std::vector<std::string>& a,
-                         const std::vector<std::string>& b);
-
 /// Fraction of tokens in `needle` that occur in `haystack` (stemmed match).
 double TokenCoverage(const std::vector<std::string>& needle,
                      const std::vector<std::string>& haystack);

@@ -17,19 +17,18 @@
 // Campaign stdout is byte-identical across thread counts (timing goes to
 // stderr). Exit status: 0 clean, 1 invariant violation, 2 usage error.
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "campaign.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
-#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/model_zoo.h"
 #include "core/pipeline.h"
@@ -42,32 +41,12 @@ struct Flags {
   int threads = 8;
   uint64_t seed = 1;
   double rate = 0.01;
-  size_t max_rows = 20000;
+  uint64_t max_rows = 20000;
   std::string spec;  ///< overrides the --rate-derived spec when non-empty
   std::string metrics_out;  ///< JSON metrics snapshot path (optional)
   bool smoke = false;
   bool selfcheck = false;
 };
-
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '\0') {
-    value->clear();
-    return true;
-  }
-  if (arg[len] != '=') return false;
-  *value = arg + len + 1;
-  return true;
-}
-
-void Usage() {
-  std::fprintf(stderr,
-               "usage: codes_chaos [--queries=N] [--threads=N] [--seed=S]\n"
-               "                   [--rate=P] [--spec=SPEC] [--max-rows=N]\n"
-               "                   [--metrics-out=PATH] [--selfcheck]\n"
-               "                   [--smoke]\n");
-}
 
 /// FNV-1a over the campaign's (sql, report) lines in sample order; the
 /// single number CI compares across thread counts and reruns.
@@ -178,39 +157,20 @@ void PrintResult(const CampaignResult& r, const std::string& spec,
 }  // namespace
 
 int main(int argc, char** argv) {
+  using codes::campaign::AtLeast;
   Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    bool ok = true;
-    if (ParseFlag(argv[i], "--queries", &value)) {
-      ok = codes::ParseInt(value, &flags.queries);
-    } else if (ParseFlag(argv[i], "--threads", &value)) {
-      ok = codes::ParseInt(value, &flags.threads);
-    } else if (ParseFlag(argv[i], "--seed", &value)) {
-      ok = codes::ParseUint64(value, &flags.seed);
-    } else if (ParseFlag(argv[i], "--rate", &value)) {
-      ok = codes::ParseFiniteDouble(value, &flags.rate);
-    } else if (ParseFlag(argv[i], "--max-rows", &value)) {
-      ok = codes::ParseSize(value, &flags.max_rows);
-    } else if (ParseFlag(argv[i], "--spec", &value)) {
-      flags.spec = value;
-    } else if (ParseFlag(argv[i], "--metrics-out", &value)) {
-      flags.metrics_out = value;
-    } else if (ParseFlag(argv[i], "--selfcheck", &value)) {
-      flags.selfcheck = true;
-    } else if (ParseFlag(argv[i], "--smoke", &value)) {
-      flags.smoke = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      Usage();
-      return 2;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "bad value in flag: %s\n", argv[i]);
-      Usage();
-      return 2;
-    }
-  }
+  const codes::campaign::Flag table[] = {
+      {"--queries", &flags.queries, "N", AtLeast(1)},
+      {"--threads", &flags.threads, "N", AtLeast(1)},
+      {"--seed", &flags.seed, "S"},
+      {"--rate", &flags.rate, "P", codes::campaign::Within(0, 1)},
+      {"--spec", &flags.spec, "SPEC"},
+      {"--max-rows", &flags.max_rows, "N"},
+      {"--metrics-out", &flags.metrics_out, "PATH"},
+      {"--selfcheck", &flags.selfcheck},
+      {"--smoke", &flags.smoke},
+  };
+  codes::campaign::ParseFlags(argc, argv, "codes_chaos", table);
   if (flags.smoke) {
     // Fixed, fast configuration for ctest / CI gating.
     flags.queries = 400;
@@ -218,11 +178,6 @@ int main(int argc, char** argv) {
     flags.seed = 20240806;
     flags.rate = 0.05;
     flags.selfcheck = true;
-  }
-  if (flags.queries < 1 || flags.threads < 1 || flags.rate < 0.0 ||
-      flags.rate > 1.0) {
-    Usage();
-    return 2;
   }
 
   std::string spec = flags.spec;
@@ -261,56 +216,30 @@ int main(int argc, char** argv) {
                 result.empty_sql);
     exit_code = 1;
   }
-
-  // Metrics invariant: every request lands in exactly one serve.outcome.*
-  // counter, so the family sums to the number of queries served.
-  {
-    uint64_t outcome_sum = 0;
-    for (const auto& [name, value] : snapshot.counters) {
-      if (name.rfind("serve.outcome.", 0) == 0) outcome_sum += value;
-    }
-    uint64_t requests = snapshot.counters.count("serve.requests")
-                            ? snapshot.counters.at("serve.requests")
-                            : 0;
-    if (outcome_sum != result.queries || requests != result.queries) {
-      std::printf("INVARIANT VIOLATION: outcome counters sum to %" PRIu64
-                  ", serve.requests=%" PRIu64 ", but %" PRIu64
-                  " queries were served\n",
-                  outcome_sum, requests, result.queries);
-      exit_code = 1;
-    } else {
-      std::printf("metrics: serve.outcome.* sums to %" PRIu64
-                  " == queries served\n",
-                  outcome_sum);
-    }
+  // Every query the campaign issued was served, and traced, exactly once.
+  uint64_t requests = snapshot.CounterOr0("serve.requests");
+  auto span = snapshot.histograms.find("span.pipeline.predict");
+  uint64_t traced = span == snapshot.histograms.end() ? 0 : span->second.count;
+  if (requests != result.queries || traced != result.queries) {
+    std::printf("INVARIANT VIOLATION: serve.requests=%" PRIu64
+                ", span.pipeline.predict count=%" PRIu64 ", but %" PRIu64
+                " queries were served\n",
+                requests, traced, result.queries);
+    exit_code = 1;
   }
-  if (!flags.metrics_out.empty()) {
-    std::FILE* out = std::fopen(flags.metrics_out.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", flags.metrics_out.c_str());
-      return 2;
-    }
-    std::string json = snapshot.ToJson() + "\n";
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::fprintf(stderr, "metrics snapshot written to %s\n",
-                 flags.metrics_out.c_str());
-  }
+  int checked = codes::campaign::CheckAndWrite(snapshot, flags.metrics_out);
+  if (checked == 2) return 2;
+  exit_code = std::max(exit_code, checked);
 
-  if (flags.selfcheck) {
-    // The whole campaign must replay byte-identically single-threaded:
-    // fault decisions and ladder outcomes depend on (seed, sample), never
-    // on scheduling.
-    codes::MetricsRegistry::Global().Reset();
-    CampaignResult serial = RunCampaign(pipeline, bench, flags, spec, 1);
-    if (serial.digest == result.digest) {
-      std::printf("selfcheck: 1-thread replay digest matches\n");
-    } else {
-      std::printf("selfcheck FAILED: %d-thread digest %016" PRIx64
-                  " != 1-thread digest %016" PRIx64 "\n",
-                  flags.threads, result.digest, serial.digest);
-      exit_code = 1;
-    }
+  // The whole campaign must replay byte-identically single-threaded:
+  // fault decisions and ladder outcomes depend on (seed, sample), never
+  // on scheduling.
+  if (flags.selfcheck &&
+      codes::campaign::ReplaySelfcheck(flags.threads, result.digest, [&] {
+        codes::MetricsRegistry::Global().Reset();
+        return RunCampaign(pipeline, bench, flags, spec, 1).digest;
+      }) != 0) {
+    exit_code = 1;
   }
 
   auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(

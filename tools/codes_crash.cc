@@ -17,15 +17,15 @@
 // Campaign stdout is byte-identical across thread counts (timing goes to
 // stderr). Exit status: 0 clean, 1 invariant violation, 2 usage error.
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "campaign.h"
 #include "common/metrics.h"
-#include "common/string_util.h"
 #include "storage/crash_harness.h"
 
 namespace {
@@ -37,35 +37,13 @@ struct Flags {
   int checkpoint_every = 9;
   int threads = 8;
   uint64_t seed = 1;
-  size_t pool_frames = 16;
+  uint64_t pool_frames = 16;
   uint64_t max_cases = 0;
-  bool torn = true;
+  bool no_torn = false;
   std::string metrics_out;  ///< JSON metrics snapshot path (optional)
   bool smoke = false;
   bool selfcheck = false;
 };
-
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '\0') {
-    value->clear();
-    return true;
-  }
-  if (arg[len] != '=') return false;
-  *value = arg + len + 1;
-  return true;
-}
-
-void Usage() {
-  std::fprintf(stderr,
-               "usage: codes_crash [--batches=N] [--rows-per-batch=N]\n"
-               "                   [--initial-rows=N] [--checkpoint-every=N]\n"
-               "                   [--threads=N] [--seed=S] [--pool-frames=N]\n"
-               "                   [--max-cases=N] [--no-torn]\n"
-               "                   [--metrics-out=PATH] [--selfcheck]\n"
-               "                   [--smoke]\n");
-}
 
 codes::storage::CrashCampaignConfig MakeConfig(const Flags& flags,
                                                int threads) {
@@ -77,7 +55,7 @@ codes::storage::CrashCampaignConfig MakeConfig(const Flags& flags,
   config.checkpoint_every = flags.checkpoint_every;
   config.pool_frames = flags.pool_frames;
   config.threads = threads;
-  config.torn_variants = flags.torn;
+  config.torn_variants = !flags.no_torn;
   config.max_cases = flags.max_cases;
   return config;
 }
@@ -85,7 +63,7 @@ codes::storage::CrashCampaignConfig MakeConfig(const Flags& flags,
 void PrintResult(const codes::storage::CrashCampaignResult& r,
                  const Flags& flags) {
   std::printf("crash campaign: batches=%d rows_per_batch=%d seed=%" PRIu64
-              " checkpoint_every=%d pool_frames=%zu\n",
+              " checkpoint_every=%d pool_frames=%" PRIu64 "\n",
               flags.batches, flags.rows_per_batch, flags.seed,
               flags.checkpoint_every, flags.pool_frames);
   std::printf("boundaries=%" PRIu64 " cases_run=%" PRIu64
@@ -105,45 +83,23 @@ void PrintResult(const codes::storage::CrashCampaignResult& r,
 }  // namespace
 
 int main(int argc, char** argv) {
+  using codes::campaign::AtLeast;
   Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    bool ok = true;
-    if (ParseFlag(argv[i], "--batches", &value)) {
-      ok = codes::ParseInt(value, &flags.batches);
-    } else if (ParseFlag(argv[i], "--rows-per-batch", &value)) {
-      ok = codes::ParseInt(value, &flags.rows_per_batch);
-    } else if (ParseFlag(argv[i], "--initial-rows", &value)) {
-      ok = codes::ParseInt(value, &flags.initial_rows);
-    } else if (ParseFlag(argv[i], "--checkpoint-every", &value)) {
-      ok = codes::ParseInt(value, &flags.checkpoint_every);
-    } else if (ParseFlag(argv[i], "--threads", &value)) {
-      ok = codes::ParseInt(value, &flags.threads);
-    } else if (ParseFlag(argv[i], "--seed", &value)) {
-      ok = codes::ParseUint64(value, &flags.seed);
-    } else if (ParseFlag(argv[i], "--pool-frames", &value)) {
-      ok = codes::ParseSize(value, &flags.pool_frames);
-    } else if (ParseFlag(argv[i], "--max-cases", &value)) {
-      ok = codes::ParseUint64(value, &flags.max_cases);
-    } else if (ParseFlag(argv[i], "--no-torn", &value)) {
-      flags.torn = false;
-    } else if (ParseFlag(argv[i], "--metrics-out", &value)) {
-      flags.metrics_out = value;
-    } else if (ParseFlag(argv[i], "--selfcheck", &value)) {
-      flags.selfcheck = true;
-    } else if (ParseFlag(argv[i], "--smoke", &value)) {
-      flags.smoke = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      Usage();
-      return 2;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "bad value in flag: %s\n", argv[i]);
-      Usage();
-      return 2;
-    }
-  }
+  const codes::campaign::Flag table[] = {
+      {"--batches", &flags.batches, "N", AtLeast(1)},
+      {"--rows-per-batch", &flags.rows_per_batch, "N", AtLeast(1)},
+      {"--initial-rows", &flags.initial_rows, "N", AtLeast(0)},
+      {"--checkpoint-every", &flags.checkpoint_every, "N", AtLeast(0)},
+      {"--threads", &flags.threads, "N", AtLeast(1)},
+      {"--seed", &flags.seed, "S"},
+      {"--pool-frames", &flags.pool_frames, "N", AtLeast(2)},
+      {"--max-cases", &flags.max_cases, "N"},
+      {"--no-torn", &flags.no_torn},
+      {"--metrics-out", &flags.metrics_out, "PATH"},
+      {"--selfcheck", &flags.selfcheck},
+      {"--smoke", &flags.smoke},
+  };
+  codes::campaign::ParseFlags(argc, argv, "codes_crash", table);
   if (flags.smoke) {
     // Fixed, fast configuration for ctest / CI gating.
     flags.batches = 24;
@@ -152,12 +108,6 @@ int main(int argc, char** argv) {
     flags.threads = 2;
     flags.seed = 20240807;
     flags.selfcheck = true;
-  }
-  if (flags.batches < 1 || flags.rows_per_batch < 1 || flags.initial_rows < 0 ||
-      flags.checkpoint_every < 0 || flags.threads < 1 ||
-      flags.pool_frames < 2) {
-    Usage();
-    return 2;
   }
 
   auto start = std::chrono::steady_clock::now();
@@ -185,59 +135,29 @@ int main(int argc, char** argv) {
                 result.failures);
     exit_code = 1;
   }
-  // Metrics invariant: recovery classifies every scanned WAL record as
-  // either replayed or discarded — no third bucket, no double counting.
-  if (result.wal_records_replayed + result.wal_records_discarded !=
-      result.wal_records_seen) {
-    std::printf("INVARIANT VIOLATION: replayed %" PRIu64 " + discarded %" PRIu64
-                " != wal_records_seen %" PRIu64 "\n",
-                result.wal_records_replayed, result.wal_records_discarded,
-                result.wal_records_seen);
-    exit_code = 1;
-  } else {
-    std::printf("metrics: storage.recovery.replayed + discarded == "
-                "wal_records_seen (%" PRIu64 ")\n",
-                result.wal_records_seen);
-  }
-  if (result.recovery_runs < result.cases_run) {
+  // Every crash case reboots through recovery at least once.
+  if (result.recovery_runs == 0 || result.recovery_runs < result.cases_run) {
     std::printf("INVARIANT VIOLATION: %" PRIu64 " recovery runs for %" PRIu64
                 " cases\n",
                 result.recovery_runs, result.cases_run);
     exit_code = 1;
   }
+  int checked = codes::campaign::CheckAndWrite(snapshot, flags.metrics_out);
+  if (checked == 2) return 2;
+  exit_code = std::max(exit_code, checked);
 
-  if (!flags.metrics_out.empty()) {
-    std::FILE* out = std::fopen(flags.metrics_out.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", flags.metrics_out.c_str());
-      return 2;
-    }
-    std::string json = snapshot.ToJson() + "\n";
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::fprintf(stderr, "metrics snapshot written to %s\n",
-                 flags.metrics_out.c_str());
-  }
-
+  // The whole campaign must replay byte-identically single-threaded:
+  // every crash case owns its own SimEnv and outcome slot, so the digest
+  // depends only on (config, seed), never on scheduling.
   if (flags.selfcheck) {
-    // The whole campaign must replay byte-identically single-threaded:
-    // every crash case owns its own SimEnv and outcome slot, so the
-    // digest depends only on (config, seed), never on scheduling.
-    codes::Result<codes::storage::CrashCampaignResult> serial =
-        codes::storage::RunCrashCampaign(MakeConfig(flags, 1));
-    if (!serial.ok()) {
-      std::fprintf(stderr, "selfcheck replay failed to run: %s\n",
-                   serial.status().ToString().c_str());
-      return 2;
-    }
-    if (serial->digest == result.digest) {
-      std::printf("selfcheck: 1-thread replay digest matches\n");
-    } else {
-      std::printf("selfcheck FAILED: %d-thread digest %016" PRIx64
-                  " != 1-thread digest %016" PRIx64 "\n",
-                  flags.threads, result.digest, serial->digest);
-      exit_code = 1;
-    }
+    int replayed = codes::campaign::ReplaySelfcheck(
+        flags.threads, result.digest, [&]() -> codes::Result<uint64_t> {
+          auto serial = codes::storage::RunCrashCampaign(MakeConfig(flags, 1));
+          if (!serial.ok()) return serial.status();
+          return serial->digest;
+        });
+    if (replayed == 2) return 2;
+    exit_code = std::max(exit_code, replayed);
   }
 
   auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(

@@ -8,20 +8,21 @@
 //
 // Campaign stdout is byte-identical for any --threads value (timing goes
 // to stderr), so a CI diff between thread counts doubles as a determinism
-// check. Exit status: 0 clean, 1 oracle violations, 2 usage/IO error.
+// check. Exit status: 0 clean, 1 oracle or metric-invariant violations,
+// 2 usage/IO error.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "campaign.h"
 #include "common/metrics.h"
 #include "common/rng.h"
-#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "fuzz/fuzz_harness.h"
 #include "fuzz/oracle.h"
@@ -36,31 +37,11 @@ struct Flags {
   int databases = 8;
   int schema = -1;       ///< single-query mode when >= 0
   bool smoke = false;
-  bool shrink = true;
+  bool no_shrink = false;
   std::string replay;    ///< corpus file to replay
   std::string out;       ///< write reproducer lines here
   std::string metrics_out;  ///< JSON metrics snapshot path (optional)
 };
-
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '\0') {
-    value->clear();
-    return true;
-  }
-  if (arg[len] != '=') return false;
-  *value = arg + len + 1;
-  return true;
-}
-
-void Usage() {
-  std::fprintf(stderr,
-               "usage: codes_fuzz [--queries=N] [--threads=N] [--seed=S]\n"
-               "                  [--databases=N] [--schema=M] [--smoke]\n"
-               "                  [--replay=FILE] [--out=FILE] [--no-shrink]\n"
-               "                  [--metrics-out=PATH]\n");
-}
 
 int RunSingle(const Flags& flags) {
   auto dbs = codes::fuzz::BuildFuzzDatabases(flags.databases);
@@ -133,7 +114,7 @@ int RunCampaign(const Flags& flags) {
   config.base_seed = flags.seed;
   config.num_queries = flags.queries;
   config.num_databases = flags.databases;
-  config.shrink = flags.shrink;
+  config.shrink = !flags.no_shrink;
 
   auto start = std::chrono::steady_clock::now();
   codes::fuzz::FuzzReport report;
@@ -173,53 +154,31 @@ int RunCampaign(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using codes::campaign::AtLeast;
   Flags flags;
-  bool seed_given = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    bool ok = true;
-    if (ParseFlag(argv[i], "--queries", &value)) {
-      ok = codes::ParseInt(value, &flags.queries);
-    } else if (ParseFlag(argv[i], "--threads", &value)) {
-      ok = codes::ParseInt(value, &flags.threads);
-    } else if (ParseFlag(argv[i], "--seed", &value)) {
-      ok = codes::ParseUint64(value, &flags.seed);
-      seed_given = true;
-    } else if (ParseFlag(argv[i], "--databases", &value)) {
-      ok = codes::ParseInt(value, &flags.databases);
-    } else if (ParseFlag(argv[i], "--schema", &value)) {
-      ok = codes::ParseInt(value, &flags.schema);
-    } else if (ParseFlag(argv[i], "--replay", &value)) {
-      flags.replay = value;
-    } else if (ParseFlag(argv[i], "--out", &value)) {
-      flags.out = value;
-    } else if (ParseFlag(argv[i], "--metrics-out", &value)) {
-      flags.metrics_out = value;
-    } else if (ParseFlag(argv[i], "--smoke", &value)) {
-      flags.smoke = true;
-    } else if (ParseFlag(argv[i], "--no-shrink", &value)) {
-      flags.shrink = false;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      Usage();
-      return 2;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "bad value in flag: %s\n", argv[i]);
-      Usage();
-      return 2;
-    }
-  }
+  const codes::campaign::Flag table[] = {
+      {"--queries", &flags.queries, "N", AtLeast(0)},
+      {"--threads", &flags.threads, "N", AtLeast(1)},
+      {"--seed", &flags.seed, "S"},
+      {"--databases", &flags.databases, "N", AtLeast(1)},
+      {"--schema", &flags.schema, "M"},
+      {"--smoke", &flags.smoke},
+      {"--replay", &flags.replay, "FILE"},
+      {"--out", &flags.out, "FILE"},
+      {"--no-shrink", &flags.no_shrink},
+      {"--metrics-out", &flags.metrics_out, "PATH"},
+  };
+  std::vector<std::string_view> given =
+      codes::campaign::ParseFlags(argc, argv, "codes_fuzz", table);
 
   if (flags.smoke) {
-    // Fixed, fast configuration for ctest / CI gating.
+    // Fixed, fast configuration for ctest / CI gating; an explicit --seed
+    // still picks the campaign.
     flags.queries = 400;
     flags.threads = 2;
-    if (!seed_given) flags.seed = 20240805;
-  }
-  if (flags.queries < 0 || flags.threads < 1 || flags.databases < 1) {
-    Usage();
-    return 2;
+    if (std::find(given.begin(), given.end(), "--seed") == given.end()) {
+      flags.seed = 20240805;
+    }
   }
 
   int exit_code;
@@ -233,15 +192,7 @@ int main(int argc, char** argv) {
 
   // Machine-readable per-stage/guard/pool breakdown of the run (executor
   // guard consumption, thread-pool wait times, BM25 activity).
-  if (!flags.metrics_out.empty()) {
-    std::ofstream metrics(flags.metrics_out);
-    if (!metrics.is_open()) {
-      std::fprintf(stderr, "cannot write %s\n", flags.metrics_out.c_str());
-      return 2;
-    }
-    metrics << codes::MetricsRegistry::Global().SnapshotJson();
-    std::fprintf(stderr, "metrics snapshot written to %s\n",
-                 flags.metrics_out.c_str());
-  }
-  return exit_code;
+  int checked = codes::campaign::CheckAndWrite(
+      codes::MetricsRegistry::Global().Snapshot(), flags.metrics_out);
+  return checked == 2 ? 2 : std::max(exit_code, checked);
 }

@@ -7,31 +7,28 @@
 // decision, so the campaign report, its digest, and the serve.* metrics
 // snapshot are byte-identical at any --threads value.
 //
-// Modes:
+// Modes (every mode checks the metric invariants declared by the serving
+// layers before writing its snapshot):
 //   campaign (default)  codes_load --requests=5000 --qps=400 --threads=8
 //   smoke               codes_load --smoke   (fixed-seed 2x-saturation
 //                                             campaign with a built-in
 //                                             1-vs-8-thread determinism
-//                                             check and the metric sum
-//                                             invariant asserted)
+//                                             check)
 //   mt-smoke            codes_load --mt-smoke (fixed-seed multi-tenant
 //                                             fleet campaign: hot tenant
 //                                             at 5x its fair share, cold
 //                                             and bursty-adversarial
 //                                             tenants, LRU fleet eviction
 //                                             under a memory budget,
-//                                             per-tenant isolation and
-//                                             metric invariants asserted,
-//                                             1-vs-8-thread determinism
-//                                             check)
+//                                             per-tenant isolation
+//                                             asserted, 1-vs-8-thread
+//                                             determinism check)
 //   adv-smoke           codes_load --adv --smoke (fixed-seed adversarial
 //                                             campaign: 30% of questions
 //                                             mutated online, hardening
 //                                             front door on, goodput-
 //                                             under-perturbation >= 80%
-//                                             of clean asserted, the
-//                                             serve.adv.* partition
-//                                             invariant checked, 1-vs-8-
+//                                             of clean asserted, 1-vs-8-
 //                                             thread determinism check)
 //
 // --adv on a plain campaign mixes mutated questions at --adv-rate and
@@ -48,14 +45,15 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "campaign.h"
 #include "common/metrics.h"
-#include "common/string_util.h"
 #include "core/model_zoo.h"
 #include "core/pipeline.h"
 #include "dataset/benchmark_builder.h"
@@ -63,6 +61,10 @@
 #include "serve/load_gen.h"
 
 namespace {
+
+using codes::MetricsSnapshot;
+using codes::serve::LoadGenOptions;
+using codes::serve::LoadReport;
 
 struct Flags {
   int requests = 2000;
@@ -74,7 +76,7 @@ struct Flags {
   uint64_t seed = 1;
   double rate = 0.0;        ///< failpoint probability at every site
   std::string spec;         ///< overrides the --rate-derived spec
-  size_t queue = 64;
+  uint64_t queue = 64;
   double rate_limit = 0.0;  ///< token-bucket qps; <= 0 disables
   std::string metrics_out;  ///< JSON metrics snapshot path (optional)
   bool adv = false;         ///< adversarial traffic + hardening front door
@@ -84,170 +86,156 @@ struct Flags {
   bool selfcheck = false;
 };
 
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '\0') {
-    value->clear();
-    return true;
-  }
-  if (arg[len] != '=') return false;
-  *value = arg + len + 1;
-  return true;
-}
+/// A benchmark and a 7B pipeline trained on it (classifier + SFT), the
+/// serving configuration codes_chaos campaigns exercise too.
+struct Fixture {
+  codes::Text2SqlBenchmark bench;
+  codes::LmZoo zoo{1, 31};
+  codes::CodesPipeline pipeline;
 
-void Usage() {
-  std::fprintf(
-      stderr,
-      "usage: codes_load [--requests=N] [--qps=Q] [--workers=N]\n"
-      "                  [--service-us=N] [--deadline-us=N] [--threads=N]\n"
-      "                  [--seed=S] [--rate=P] [--spec=SPEC] [--queue=N]\n"
-      "                  [--rate-limit=Q] [--metrics-out=PATH]\n"
-      "                  [--adv] [--adv-rate=P]\n"
-      "                  [--selfcheck] [--smoke] [--mt-smoke]\n");
-}
+  static codes::PipelineConfig Config() {
+    codes::PipelineConfig config;
+    config.size = codes::ModelSize::k7B;
+    return config;
+  }
+  explicit Fixture(codes::Text2SqlBenchmark b)
+      : bench(std::move(b)),
+        pipeline(Config(), zoo.CodesFor(Config().size)) {
+    pipeline.TrainClassifier(bench);
+    pipeline.FineTune(bench);
+  }
+};
 
-/// The registry snapshot compared across thread counts: every counter and
-/// gauge (all driven by virtual-time decisions or per-request counts),
-/// plus the serve.* histograms (observed in virtual µs). Wall-clock
-/// histograms (span.*, pool.task_wait_us) are real timings and excluded.
-codes::MetricsSnapshot DeterministicView(const codes::MetricsSnapshot& s) {
-  codes::MetricsSnapshot out;
-  out.counters = s.counters;
-  out.gauges = s.gauges;
-  for (const auto& [name, data] : s.histograms) {
-    if (name.rfind("serve.", 0) == 0) out.histograms[name] = data;
-  }
-  return out;
-}
+/// One campaign on a fixture: an optional reference run over the same
+/// fixture, the gated run, and the gates only this campaign asserts.
+struct Campaign {
+  LoadGenOptions options;
+  std::optional<LoadGenOptions> reference;
+  /// Extra cold-state hygiene before every run (fleet eviction).
+  std::function<void()> reset;
+  /// Campaign-specific gates; returns 1 on a violation.
+  std::function<int(const LoadReport& report, const LoadReport& reference,
+                    const MetricsSnapshot& snapshot)>
+      gates;
+  bool selfcheck = true;
+};
 
-uint64_t CounterOr0(const codes::MetricsSnapshot& s, const char* name) {
-  auto it = s.counters.find(name);
-  return it == s.counters.end() ? 0 : it->second;
-}
+/// Runs `c` on `fx` below the caller's header line. Every run starts from
+/// a cold retriever cache and a zeroed registry, so the exported snapshot
+/// covers exactly the gated run and the 1-thread replay's metrics are
+/// comparable with it.
+int Run(Fixture& fx, const Campaign& c, const std::string& metrics_out) {
+  auto run = [&](const LoadGenOptions& options) {
+    if (c.reset) c.reset();
+    fx.pipeline.ClearRetrieverCache();
+    codes::MetricsRegistry::Global().Reset();
+    return codes::serve::RunLoadCampaign(fx.pipeline, fx.bench, options);
+  };
+  LoadReport reference = c.reference ? run(*c.reference) : LoadReport{};
+  LoadReport report = run(c.options);
+  MetricsSnapshot snapshot = codes::MetricsRegistry::Global().Snapshot();
+  std::fputs(report.Summary().c_str(), stdout);
 
-/// Asserts the admission accounting contract from the emitted metrics
-/// (not from the report — the point is that the exported numbers add up).
-int CheckSumInvariant(const codes::MetricsSnapshot& snapshot,
-                      const codes::serve::LoadReport& report) {
-  uint64_t offered = CounterOr0(snapshot, "serve.offered");
-  uint64_t admitted = CounterOr0(snapshot, "serve.admitted");
-  uint64_t rejected = CounterOr0(snapshot, "serve.rejected");
-  uint64_t shed = CounterOr0(snapshot, "serve.shed");
-  int bad = 0;
-  if (admitted + rejected + shed != offered) {
-    std::printf("INVARIANT VIOLATION: admitted=%" PRIu64 " + rejected=%" PRIu64
-                " + shed=%" PRIu64 " != offered=%" PRIu64 "\n",
-                admitted, rejected, shed, offered);
-    bad = 1;
-  }
-  if (CounterOr0(snapshot, "serve.rejected.rate") +
-          CounterOr0(snapshot, "serve.rejected.queue_full") +
-          CounterOr0(snapshot, "serve.rejected.tenant_rate") !=
-      rejected) {
-    std::printf("INVARIANT VIOLATION: serve.rejected.* do not sum to "
-                "serve.rejected=%" PRIu64 "\n",
-                rejected);
-    bad = 1;
-  }
-  if (CounterOr0(snapshot, "serve.shed.deadline") +
-          CounterOr0(snapshot, "serve.shed.drain") !=
-      shed) {
-    std::printf("INVARIANT VIOLATION: serve.shed.* do not sum to "
-                "serve.shed=%" PRIu64 "\n",
-                shed);
-    bad = 1;
-  }
-  if (offered != report.offered) {
+  // Every campaign: the exported counters saw every scheduled request,
+  // and the report's own per-request outcomes partition them.
+  int exit_code = 0;
+  uint64_t offered = snapshot.CounterOr0("serve.offered");
+  if (offered != static_cast<uint64_t>(c.options.num_requests) ||
+      offered != report.offered) {
     std::printf("INVARIANT VIOLATION: serve.offered=%" PRIu64
-                " != campaign offered=%" PRIu64 "\n",
-                offered, report.offered);
-    bad = 1;
+                " != campaign offered=%" PRIu64 " (%d scheduled)\n",
+                offered, report.offered, c.options.num_requests);
+    exit_code = 1;
   }
-  if (bad == 0) {
-    std::printf("metrics: serve.admitted + serve.rejected + serve.shed == "
-                "serve.offered == %" PRIu64 "\n",
-                offered);
+  if (report.admitted + report.rejected_rate + report.rejected_queue_full +
+          report.rejected_tenant_rate + report.shed_deadline +
+          report.shed_drain !=
+      report.offered) {
+    std::printf("INVARIANT VIOLATION: per-request outcomes do not sum to "
+                "offered=%" PRIu64 "\n",
+                report.offered);
+    exit_code = 1;
   }
-  return bad;
-}
+  if (c.gates && c.gates(report, reference, snapshot) != 0) exit_code = 1;
 
-/// The adversarial partition contract: every PredictGuarded call lands in
-/// exactly one of serve.adv.clean / serve.adv.suspect, so the pair sums
-/// to serve.requests. CI asserts the same identity from the JSON snapshot.
-int CheckAdvInvariant(const codes::MetricsSnapshot& snapshot) {
-  uint64_t clean = CounterOr0(snapshot, "serve.adv.clean");
-  uint64_t suspect = CounterOr0(snapshot, "serve.adv.suspect");
-  uint64_t requests = CounterOr0(snapshot, "serve.requests");
-  if (clean + suspect != requests) {
-    std::printf("INVARIANT VIOLATION: serve.adv.clean=%" PRIu64
-                " + serve.adv.suspect=%" PRIu64 " != serve.requests=%" PRIu64
-                "\n",
-                clean, suspect, requests);
-    return 1;
-  }
-  std::printf("metrics: serve.adv.clean + serve.adv.suspect == "
-              "serve.requests == %" PRIu64 "\n",
-              requests);
-  return 0;
-}
+  int checked = codes::campaign::CheckAndWrite(snapshot, metrics_out);
+  if (checked == 2) return 2;
+  exit_code = std::max(exit_code, checked);
 
-/// Per-tenant admission accounting: for every tenant family the exported
-/// counters must satisfy admitted + rejected + shed == offered, agree
-/// with the campaign's per-tenant rows, and sum to the global counters.
-int CheckTenantInvariants(const codes::MetricsSnapshot& snapshot,
-                          const codes::serve::LoadReport& report) {
-  int bad = 0;
-  uint64_t offered_sum = 0;
-  for (const auto& row : report.tenants) {
-    std::string prefix = "serve.tenant." + row.name + ".";
-    uint64_t offered = CounterOr0(snapshot, (prefix + "offered").c_str());
-    uint64_t admitted = CounterOr0(snapshot, (prefix + "admitted").c_str());
-    uint64_t rejected = CounterOr0(snapshot, (prefix + "rejected").c_str());
-    uint64_t shed = CounterOr0(snapshot, (prefix + "shed").c_str());
-    offered_sum += offered;
-    if (admitted + rejected + shed != offered) {
-      std::printf("INVARIANT VIOLATION: tenant %s: admitted=%" PRIu64
-                  " + rejected=%" PRIu64 " + shed=%" PRIu64
-                  " != offered=%" PRIu64 "\n",
-                  row.name.c_str(), admitted, rejected, shed, offered);
-      bad = 1;
-    }
-    if (offered != row.offered || admitted != row.admitted ||
-        rejected != row.rejected || shed != row.shed) {
-      std::printf("INVARIANT VIOLATION: tenant %s: metric family disagrees "
-                  "with campaign accounting\n",
-                  row.name.c_str());
-      bad = 1;
+  // The whole campaign must replay byte-identically single-threaded:
+  // every control decision happens at virtual timestamps derived from the
+  // seed, never from real scheduling.
+  if (c.selfcheck) {
+    LoadGenOptions serial = c.options;
+    serial.threads = 1;
+    if (codes::campaign::ReplaySelfcheck(
+            c.options.threads, report.digest,
+            [&] { return run(serial).digest; }, &snapshot) != 0) {
+      exit_code = 1;
     }
   }
-  if (offered_sum != CounterOr0(snapshot, "serve.offered")) {
-    std::printf("INVARIANT VIOLATION: tenant offered counters sum to %" PRIu64
-                " != serve.offered=%" PRIu64 "\n",
-                offered_sum, CounterOr0(snapshot, "serve.offered"));
-    bad = 1;
+  return exit_code;
+}
+
+/// Flags into LoadGenOptions; --smoke pins the fixed 2x-saturation
+/// configuration for ctest / CI gating (capacity 4 workers / 20 ms =
+/// 200 qps, offered 400 qps).
+int RunDefault(Flags flags) {
+  if (flags.smoke) {
+    flags.requests = 600;
+    flags.qps = 400.0;
+    flags.workers = 4;
+    flags.service_us = 20'000;
+    flags.deadline_us = 200'000;
+    flags.threads = 8;
+    flags.seed = 20240806;
+    flags.rate = 0.02;
+    flags.selfcheck = true;
   }
-  if (bad == 0) {
-    std::printf("metrics: per-tenant admitted + rejected + shed == offered "
-                "for all %zu tenants\n",
-                report.tenants.size());
+  Campaign c;
+  LoadGenOptions& options = c.options;
+  options.seed = flags.seed;
+  options.num_requests = flags.requests;
+  options.offered_qps = flags.qps;
+  options.virtual_workers = flags.workers;
+  options.service_base_us = flags.service_us;
+  options.deadline_us = flags.deadline_us;
+  options.threads = flags.threads;
+  options.front_end.admission.queue_capacity = flags.queue;
+  options.front_end.admission.rate_per_sec = flags.rate_limit;
+  if (flags.adv) {
+    options.adv_rate = flags.adv_rate;
+    options.harden = true;
   }
-  return bad;
+  if (!flags.spec.empty()) {
+    options.failpoint_spec = flags.spec;
+  } else if (flags.rate > 0.0) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "*=prob:%g", flags.rate);
+    options.failpoint_spec = buf;
+  }
+  c.selfcheck = flags.selfcheck;
+
+  Fixture fx(codes::BuildTinySpiderLike(2024));
+  std::printf("load campaign: requests=%d qps=%g workers=%d service_us=%"
+              PRIu64 " seed=%" PRIu64 " spec=\"%s\"\n",
+              flags.requests, flags.qps, flags.workers, flags.service_us,
+              flags.seed, options.failpoint_spec.c_str());
+  return Run(fx, c, flags.metrics_out);
 }
 
 /// The multi-tenant fleet campaign. Six tenants over six dev databases:
 /// one hot tenant offered 5x its fair share, two normal tenants, two
 /// near-idle cold tenants (whose rare requests force fleet attach under
-/// the memory budget), and one bursty adversarial tenant. Asserts:
-///   - per-tenant and global metric sum invariants,
+/// the memory budget), and one bursty adversarial tenant. Gates:
+///   - every tenant's metric family agrees with the campaign's rows, and
+///     the tenant offered counters partition serve.offered,
 ///   - isolation: with the hot tenant at 5x fair share, every other
 ///     tenant keeps >= 80% of the goodput it gets when the hot tenant
 ///     behaves (same traffic with hot at exactly its fair share),
-///   - the fleet ends under its memory budget with evictions observed,
-///   - 1-vs-8-thread byte-identical digest and metrics (selfcheck).
+///   - the fleet ends under its memory budget, having evicted and
+///     attached along the way.
 int RunMtSmoke(const Flags& flags) {
-  auto start = std::chrono::steady_clock::now();
-
   codes::BenchmarkConfig bench_config;
   bench_config.name = "mt_fleet";
   bench_config.profile = codes::DbProfile::Spider();
@@ -256,14 +244,8 @@ int RunMtSmoke(const Flags& flags) {
   bench_config.train_samples_per_db = 15;
   bench_config.dev_samples_per_db = 8;
   bench_config.seed = 20240808;
-  auto bench = codes::BuildBenchmark(bench_config);
-
-  codes::LmZoo zoo(1, 31);
-  codes::PipelineConfig config;
-  config.size = codes::ModelSize::k7B;
-  codes::CodesPipeline pipeline(config, zoo.CodesFor(config.size));
-  pipeline.TrainClassifier(bench);
-  pipeline.FineTune(bench);
+  Fixture fx(codes::BuildBenchmark(bench_config));
+  const codes::Text2SqlBenchmark& bench = fx.bench;
 
   // One tenant per dev database, in order of first appearance.
   std::vector<int> dev_dbs;
@@ -324,7 +306,8 @@ int RunMtSmoke(const Flags& flags) {
   const double capacity_qps = 4.0 * 1e6 / 20'000.0;
   const double fair = capacity_qps / 6.0;
 
-  codes::serve::LoadGenOptions mt;
+  Campaign c;
+  LoadGenOptions& mt = c.options;
   mt.seed = 20240808;
   mt.num_requests = 900;
   mt.virtual_workers = 4;
@@ -346,7 +329,7 @@ int RunMtSmoke(const Flags& flags) {
   // Shares are offered qps per tenant; offered_qps is their (burst-
   // averaged) sum, so each tenant's absolute arrival rate is its share
   // in both the baseline and the adversarial mix.
-  auto set_shares = [&](codes::serve::LoadGenOptions* o, double hot_qps) {
+  auto set_shares = [&](LoadGenOptions* o, double hot_qps) {
     const double shares[6] = {hot_qps,      0.7 * fair,  0.7 * fair,
                               0.15 * fair,  0.15 * fair, 0.2 * fair};
     const double burst_shares[6] = {-1.0, -1.0, -1.0, -1.0, -1.0,
@@ -369,150 +352,116 @@ int RunMtSmoke(const Flags& flags) {
   };
 
   // Baseline: the same mix with the hot tenant at exactly its fair
-  // share — the "no bully" reference for the isolation assertion.
-  codes::serve::LoadGenOptions baseline = mt;
+  // share — the "no bully" reference for the isolation gate.
+  LoadGenOptions baseline = mt;
   set_shares(&baseline, fair);
   baseline.num_requests = 420;
   set_shares(&mt, 5.0 * fair);
+  c.reference = baseline;
+  // Every run starts from the same fleet state: all evicted, snapshots
+  // on disk.
+  c.reset = [&fleet] { fleet->EvictAll(); };
 
-  fleet->EvictAll();
-  pipeline.ClearRetrieverCache();
-  codes::MetricsRegistry::Global().Reset();
-  codes::serve::LoadReport base_report =
-      codes::serve::RunLoadCampaign(pipeline, bench, baseline);
+  c.gates = [&](const LoadReport& report, const LoadReport& base_report,
+                const MetricsSnapshot& snapshot) {
+    int bad = 0;
+    uint64_t offered_sum = 0;
+    for (const auto& row : report.tenants) {
+      std::string prefix = "serve.tenant." + row.name + ".";
+      offered_sum += snapshot.CounterOr0(prefix + "offered");
+      if (snapshot.CounterOr0(prefix + "offered") != row.offered ||
+          snapshot.CounterOr0(prefix + "admitted") != row.admitted ||
+          snapshot.CounterOr0(prefix + "rejected") != row.rejected ||
+          snapshot.CounterOr0(prefix + "shed") != row.shed) {
+        std::printf("INVARIANT VIOLATION: tenant %s: metric family "
+                    "disagrees with campaign accounting\n",
+                    row.name.c_str());
+        bad = 1;
+      }
+    }
+    if (report.tenants.size() != 6 ||
+        offered_sum != snapshot.CounterOr0("serve.offered")) {
+      std::printf("INVARIANT VIOLATION: %zu tenant offered counters sum to "
+                  "%" PRIu64 " != serve.offered=%" PRIu64 "\n",
+                  report.tenants.size(), offered_sum,
+                  snapshot.CounterOr0("serve.offered"));
+      bad = 1;
+    }
 
-  fleet->EvictAll();
-  pipeline.ClearRetrieverCache();
-  codes::MetricsRegistry::Global().Reset();
-  codes::serve::LoadReport report =
-      codes::serve::RunLoadCampaign(pipeline, bench, mt);
-  codes::MetricsSnapshot snapshot =
-      codes::MetricsRegistry::Global().Snapshot();
+    // Isolation: the hot tenant's 5x overload must be clipped by the
+    // weighted-fair limiter, not paid for by everyone else. Compared on
+    // the served-within-deadline fraction of each tenant's own arrivals —
+    // goodput normalized by offered rate — so the low-rate cold tenants'
+    // arrival-count noise does not masquerade as admission harm.
+    auto served_fraction = [](const LoadReport::TenantRow& row) {
+      return row.offered == 0
+                 ? 1.0
+                 : static_cast<double>(row.served_within_deadline) /
+                       static_cast<double>(row.offered);
+    };
+    for (size_t t = 1; t < report.tenants.size(); ++t) {
+      double isolated = served_fraction(base_report.tenants[t]);
+      double contended = served_fraction(report.tenants[t]);
+      bool ok = contended >= 0.8 * isolated;
+      std::printf("isolation: tenant %s served %.0f%% of its arrivals vs "
+                  "%.0f%% with the hot tenant at fair share (%.1f vs %.1f "
+                  "qps goodput) %s\n",
+                  report.tenants[t].name.c_str(), 100.0 * contended,
+                  100.0 * isolated, report.TenantGoodputQps(t),
+                  base_report.TenantGoodputQps(t), ok ? "ok" : "VIOLATION");
+      if (!ok) bad = 1;
+    }
+
+    // The fleet must end under budget and must have had to evict (and
+    // re-attach) to get there: the working set is priced at ~1.8x the
+    // budget.
+    uint64_t evictions = snapshot.CounterOr0("fleet.evict");
+    uint64_t attaches = snapshot.CounterOr0("fleet.attach");
+    size_t resident = fleet->ResidentBytes();
+    std::printf("fleet: resident=%zu budget=%zu evictions=%" PRIu64
+                " attaches=%" PRIu64 " (build=%" PRIu64 " snapshot=%" PRIu64
+                ")\n",
+                resident, budget, evictions, attaches,
+                snapshot.CounterOr0("fleet.attach.build"),
+                snapshot.CounterOr0("fleet.attach.snapshot"));
+    auto exported = snapshot.gauges.find("fleet.resident_bytes");
+    if (resident > budget || exported == snapshot.gauges.end() ||
+        exported->second != static_cast<int64_t>(resident)) {
+      std::printf("INVARIANT VIOLATION: fleet resident bytes exceed budget "
+                  "or disagree with the fleet.resident_bytes gauge\n");
+      bad = 1;
+    }
+    if (evictions == 0 || attaches == 0) {
+      std::printf("INVARIANT VIOLATION: no fleet evictions or attaches "
+                  "observed\n");
+      bad = 1;
+    }
+    return bad;
+  };
 
   std::printf("mt campaign: requests=%d qps=%.1f capacity=%.0f tenants=6 "
               "budget=%zu/%zu bytes seed=%" PRIu64 "\n",
               mt.num_requests, mt.offered_qps, capacity_qps, budget,
               total_bytes, mt.seed);
-  std::fputs(report.Summary().c_str(), stdout);
-
-  int exit_code = 0;
-  if (CheckSumInvariant(snapshot, report) != 0) exit_code = 1;
-  if (CheckTenantInvariants(snapshot, report) != 0) exit_code = 1;
-
-  // Isolation: the hot tenant's 5x overload must be clipped by the
-  // weighted-fair limiter, not paid for by everyone else. Compared on
-  // the served-within-deadline fraction of each tenant's own arrivals —
-  // goodput normalized by offered rate — so the low-rate cold tenants'
-  // arrival-count noise does not masquerade as admission harm.
-  auto served_fraction = [](const codes::serve::LoadReport::TenantRow& row) {
-    return row.offered == 0
-               ? 1.0
-               : static_cast<double>(row.served_within_deadline) /
-                     static_cast<double>(row.offered);
-  };
-  for (size_t t = 1; t < report.tenants.size(); ++t) {
-    double isolated = served_fraction(base_report.tenants[t]);
-    double contended = served_fraction(report.tenants[t]);
-    bool ok = contended >= 0.8 * isolated;
-    std::printf("isolation: tenant %s served %.0f%% of its arrivals vs "
-                "%.0f%% with the hot tenant at fair share (%.1f vs %.1f "
-                "qps goodput) %s\n",
-                report.tenants[t].name.c_str(), 100.0 * contended,
-                100.0 * isolated, report.TenantGoodputQps(t),
-                base_report.TenantGoodputQps(t), ok ? "ok" : "VIOLATION");
-    if (!ok) exit_code = 1;
-  }
-
-  // The fleet must end under budget and must have had to evict to get
-  // there (the working set is priced at ~1.8x the budget).
-  uint64_t evictions = CounterOr0(snapshot, "fleet.evict");
-  size_t resident = fleet->ResidentBytes();
-  std::printf("fleet: resident=%zu budget=%zu evictions=%" PRIu64
-              " attaches=%" PRIu64 " (build=%" PRIu64 " snapshot=%" PRIu64
-              ")\n",
-              resident, budget, evictions,
-              CounterOr0(snapshot, "fleet.attach"),
-              CounterOr0(snapshot, "fleet.attach.build"),
-              CounterOr0(snapshot, "fleet.attach.snapshot"));
-  if (resident > budget) {
-    std::printf("INVARIANT VIOLATION: fleet resident bytes exceed budget\n");
-    exit_code = 1;
-  }
-  if (evictions == 0) {
-    std::printf("INVARIANT VIOLATION: no fleet evictions observed\n");
-    exit_code = 1;
-  }
-
-  if (!flags.metrics_out.empty()) {
-    std::FILE* out = std::fopen(flags.metrics_out.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", flags.metrics_out.c_str());
-      return 2;
-    }
-    std::string json = snapshot.ToJson() + "\n";
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::fprintf(stderr, "metrics snapshot written to %s\n",
-                 flags.metrics_out.c_str());
-  }
-
-  // Determinism selfcheck: the identical campaign replayed on 1 real
-  // thread, from the same fleet state (all evicted, snapshots on disk),
-  // must produce the same digest and the same deterministic metrics.
-  std::string view = DeterministicView(snapshot).ToJson();
-  fleet->EvictAll();
-  pipeline.ClearRetrieverCache();
-  codes::MetricsRegistry::Global().Reset();
-  codes::serve::LoadGenOptions serial = mt;
-  serial.threads = 1;
-  codes::serve::LoadReport replay =
-      codes::serve::RunLoadCampaign(pipeline, bench, serial);
-  std::string serial_view =
-      DeterministicView(codes::MetricsRegistry::Global().Snapshot())
-          .ToJson();
-  if (replay.digest == report.digest && serial_view == view) {
-    std::printf("selfcheck: 1-thread replay digest and metrics match\n");
-  } else {
-    std::printf("selfcheck FAILED: 8-thread digest %016" PRIx64
-                " != 1-thread digest %016" PRIx64 " (metrics %s)\n",
-                report.digest, replay.digest,
-                serial_view == view ? "match" : "differ");
-    exit_code = 1;
-  }
-
+  int exit_code = Run(fx, c, flags.metrics_out);
   std::filesystem::remove_all(snapshot_dir, ec);
-  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-  std::fprintf(stderr, "elapsed: %lld ms (mt-smoke)\n",
-               static_cast<long long>(elapsed));
   return exit_code;
 }
 
 /// The adversarial serving smoke: one clean reference campaign and one
 /// --adv-rate-perturbed campaign over the same arrival schedule, with the
-/// hardening front door on in both. Asserts:
-///   - the global admission sum invariant and the adversarial partition
-///     serve.adv.clean + serve.adv.suspect == serve.requests,
+/// hardening front door on in both. Gates:
 ///   - mutations flowed (adv_offered > 0) and the hardening detector
-///     actually fired on them (suspect > 0),
+///     actually fired on them (serve.adv.suspect > 0), pre-degrading
+///     every suspect it flagged (serve.adv.pre_degraded ==
+///     serve.adv.suspect),
 ///   - verified goodput under perturbation keeps >= 80% of the clean
-///     campaign's verified goodput,
-///   - 1-vs-8-thread byte-identical digest and deterministic metrics.
+///     campaign's verified goodput.
 int RunAdvSmoke(const Flags& flags) {
-  auto start = std::chrono::steady_clock::now();
-
-  auto bench = codes::BuildTinySpiderLike(2024);
-  codes::LmZoo zoo(1, 31);
-  codes::PipelineConfig config;
-  config.size = codes::ModelSize::k7B;
-  codes::CodesPipeline pipeline(config, zoo.CodesFor(config.size));
-  pipeline.TrainClassifier(bench);
-  pipeline.FineTune(bench);
-
   // 2x saturation like --smoke: capacity 4 workers / 20 ms = 200 qps,
   // offered 400 qps, so the brownout ladder is live in both campaigns.
-  codes::serve::LoadGenOptions adv;
+  Campaign c;
+  LoadGenOptions& adv = c.options;
   adv.seed = 20240809;
   adv.num_requests = 600;
   adv.offered_qps = 400.0;
@@ -526,291 +475,85 @@ int RunAdvSmoke(const Flags& flags) {
 
   // Clean reference: the identical schedule with zero mutations prices
   // what verified goodput costs on this fixture.
-  codes::serve::LoadGenOptions clean = adv;
-  clean.adv_rate = 0.0;
+  c.reference = adv;
+  c.reference->adv_rate = 0.0;
 
-  pipeline.ClearRetrieverCache();
-  codes::MetricsRegistry::Global().Reset();
-  codes::serve::LoadReport clean_report =
-      codes::serve::RunLoadCampaign(pipeline, bench, clean);
+  c.gates = [&](const LoadReport& report, const LoadReport& clean_report,
+                const MetricsSnapshot& snapshot) {
+    int bad = 0;
+    if (report.adv_offered == 0) {
+      std::printf("INVARIANT VIOLATION: no requests were mutated at "
+                  "adv_rate=%.2f\n",
+                  adv.adv_rate);
+      bad = 1;
+    }
+    uint64_t suspect = snapshot.CounterOr0("serve.adv.suspect");
+    if (suspect == 0) {
+      std::printf("INVARIANT VIOLATION: hardening flagged no request "
+                  "suspect under adversarial traffic\n");
+      bad = 1;
+    }
+    if (snapshot.CounterOr0("serve.adv.pre_degraded") != suspect) {
+      std::printf("INVARIANT VIOLATION: serve.adv.pre_degraded=%" PRIu64
+                  " != serve.adv.suspect=%" PRIu64 "\n",
+                  snapshot.CounterOr0("serve.adv.pre_degraded"), suspect);
+      bad = 1;
+    }
 
-  pipeline.ClearRetrieverCache();
-  codes::MetricsRegistry::Global().Reset();
-  codes::serve::LoadReport report =
-      codes::serve::RunLoadCampaign(pipeline, bench, adv);
-  codes::MetricsSnapshot snapshot =
-      codes::MetricsRegistry::Global().Snapshot();
+    double clean_goodput = clean_report.VerifiedGoodputQps();
+    double adv_goodput = report.VerifiedGoodputQps();
+    double retention =
+        clean_goodput > 0.0 ? adv_goodput / clean_goodput : 1.0;
+    std::printf("goodput under perturbation: %.1f qps vs %.1f qps clean "
+                "(retention %.0f%%) %s\n",
+                adv_goodput, clean_goodput, 100.0 * retention,
+                retention >= 0.8 ? "ok" : "VIOLATION");
+    if (retention < 0.8) bad = 1;
+    return bad;
+  };
 
+  Fixture fx(codes::BuildTinySpiderLike(2024));
   std::printf("adv campaign: requests=%d qps=%.1f adv_rate=%.2f seed=%"
               PRIu64 "\n",
               adv.num_requests, adv.offered_qps, adv.adv_rate, adv.seed);
-  std::fputs(report.Summary().c_str(), stdout);
-
-  int exit_code = 0;
-  if (CheckSumInvariant(snapshot, report) != 0) exit_code = 1;
-  if (CheckAdvInvariant(snapshot) != 0) exit_code = 1;
-  if (report.adv_offered == 0) {
-    std::printf("INVARIANT VIOLATION: no requests were mutated at "
-                "adv_rate=%.2f\n",
-                adv.adv_rate);
-    exit_code = 1;
-  }
-  if (report.suspect == 0) {
-    std::printf("INVARIANT VIOLATION: hardening flagged no request suspect "
-                "under adversarial traffic\n");
-    exit_code = 1;
-  }
-
-  double clean_goodput = clean_report.VerifiedGoodputQps();
-  double adv_goodput = report.VerifiedGoodputQps();
-  double retention = clean_goodput > 0.0 ? adv_goodput / clean_goodput : 1.0;
-  std::printf("goodput under perturbation: %.1f qps vs %.1f qps clean "
-              "(retention %.0f%%) %s\n",
-              adv_goodput, clean_goodput, 100.0 * retention,
-              retention >= 0.8 ? "ok" : "VIOLATION");
-  if (retention < 0.8) exit_code = 1;
-
-  if (!flags.metrics_out.empty()) {
-    std::FILE* out = std::fopen(flags.metrics_out.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", flags.metrics_out.c_str());
-      return 2;
-    }
-    std::string json = snapshot.ToJson() + "\n";
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::fprintf(stderr, "metrics snapshot written to %s\n",
-                 flags.metrics_out.c_str());
-  }
-
-  // Determinism selfcheck: mutation choice, hardening verdicts, and the
-  // canonical retries all happen on the DES thread at virtual timestamps,
-  // so the 1-thread replay must match byte-for-byte.
-  std::string view = DeterministicView(snapshot).ToJson();
-  pipeline.ClearRetrieverCache();
-  codes::MetricsRegistry::Global().Reset();
-  codes::serve::LoadGenOptions serial = adv;
-  serial.threads = 1;
-  codes::serve::LoadReport replay =
-      codes::serve::RunLoadCampaign(pipeline, bench, serial);
-  std::string serial_view =
-      DeterministicView(codes::MetricsRegistry::Global().Snapshot())
-          .ToJson();
-  if (replay.digest == report.digest && serial_view == view) {
-    std::printf("selfcheck: 1-thread replay digest and metrics match\n");
-  } else {
-    std::printf("selfcheck FAILED: 8-thread digest %016" PRIx64
-                " != 1-thread digest %016" PRIx64 " (metrics %s)\n",
-                report.digest, replay.digest,
-                serial_view == view ? "match" : "differ");
-    exit_code = 1;
-  }
-
-  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-  std::fprintf(stderr, "elapsed: %lld ms (adv-smoke)\n",
-               static_cast<long long>(elapsed));
-  return exit_code;
+  return Run(fx, c, flags.metrics_out);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  using codes::campaign::AtLeast;
+  using codes::campaign::Above;
+  using codes::campaign::Within;
   Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    bool ok = true;
-    if (ParseFlag(argv[i], "--requests", &value)) {
-      ok = codes::ParseInt(value, &flags.requests);
-    } else if (ParseFlag(argv[i], "--qps", &value)) {
-      ok = codes::ParseFiniteDouble(value, &flags.qps);
-    } else if (ParseFlag(argv[i], "--workers", &value)) {
-      ok = codes::ParseInt(value, &flags.workers);
-    } else if (ParseFlag(argv[i], "--service-us", &value)) {
-      ok = codes::ParseUint64(value, &flags.service_us);
-    } else if (ParseFlag(argv[i], "--deadline-us", &value)) {
-      ok = codes::ParseUint64(value, &flags.deadline_us);
-    } else if (ParseFlag(argv[i], "--threads", &value)) {
-      ok = codes::ParseInt(value, &flags.threads);
-    } else if (ParseFlag(argv[i], "--seed", &value)) {
-      ok = codes::ParseUint64(value, &flags.seed);
-    } else if (ParseFlag(argv[i], "--rate", &value)) {
-      ok = codes::ParseFiniteDouble(value, &flags.rate);
-    } else if (ParseFlag(argv[i], "--spec", &value)) {
-      flags.spec = value;
-    } else if (ParseFlag(argv[i], "--queue", &value)) {
-      ok = codes::ParseSize(value, &flags.queue);
-    } else if (ParseFlag(argv[i], "--rate-limit", &value)) {
-      ok = codes::ParseFiniteDouble(value, &flags.rate_limit);
-    } else if (ParseFlag(argv[i], "--metrics-out", &value)) {
-      flags.metrics_out = value;
-    } else if (ParseFlag(argv[i], "--adv-rate", &value)) {
-      ok = codes::ParseFiniteDouble(value, &flags.adv_rate);
-    } else if (ParseFlag(argv[i], "--adv", &value)) {
-      flags.adv = true;
-    } else if (ParseFlag(argv[i], "--selfcheck", &value)) {
-      flags.selfcheck = true;
-    } else if (ParseFlag(argv[i], "--smoke", &value)) {
-      flags.smoke = true;
-    } else if (ParseFlag(argv[i], "--mt-smoke", &value)) {
-      flags.mt_smoke = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      Usage();
-      return 2;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "bad value in flag: %s\n", argv[i]);
-      Usage();
-      return 2;
-    }
-  }
-  // Range validation with a diagnostic per offending flag — a silent
-  // usage dump is indistinguishable from a typo in the flag name.
-  bool range_ok = true;
-  auto require = [&range_ok](bool ok_cond, const char* diagnostic) {
-    if (!ok_cond) {
-      std::fprintf(stderr, "%s\n", diagnostic);
-      range_ok = false;
-    }
+  const codes::campaign::Flag table[] = {
+      {"--requests", &flags.requests, "N", AtLeast(1)},
+      {"--qps", &flags.qps, "Q", Above(0)},
+      {"--workers", &flags.workers, "N", AtLeast(1)},
+      {"--service-us", &flags.service_us, "N", AtLeast(1)},
+      {"--deadline-us", &flags.deadline_us, "N"},
+      {"--threads", &flags.threads, "N", AtLeast(1)},
+      {"--seed", &flags.seed, "S"},
+      {"--rate", &flags.rate, "P", Within(0, 1)},
+      {"--spec", &flags.spec, "SPEC"},
+      {"--queue", &flags.queue, "N", AtLeast(1)},
+      {"--rate-limit", &flags.rate_limit, "Q", AtLeast(0)},
+      {"--metrics-out", &flags.metrics_out, "PATH"},
+      {"--adv", &flags.adv},
+      {"--adv-rate", &flags.adv_rate, "P", Within(0, 1)},
+      {"--selfcheck", &flags.selfcheck},
+      {"--smoke", &flags.smoke},
+      {"--mt-smoke", &flags.mt_smoke},
   };
-  require(flags.requests >= 1, "--requests must be >= 1");
-  require(flags.qps > 0.0, "--qps must be > 0");
-  require(flags.workers >= 1, "--workers must be >= 1");
-  require(flags.service_us >= 1, "--service-us must be >= 1");
-  require(flags.threads >= 1, "--threads must be >= 1");
-  require(flags.rate >= 0.0 && flags.rate <= 1.0,
-          "--rate must be in [0, 1]");
-  require(flags.queue >= 1, "--queue must be >= 1");
-  require(flags.rate_limit >= 0.0, "--rate-limit must be >= 0");
-  require(flags.adv_rate >= 0.0 && flags.adv_rate <= 1.0,
-          "--adv-rate must be in [0, 1]");
-  if (!range_ok) {
-    Usage();
-    return 2;
-  }
-
-  if (flags.mt_smoke) return RunMtSmoke(flags);
-  if (flags.adv && flags.smoke) return RunAdvSmoke(flags);
-  if (flags.smoke) {
-    // Fixed 2x-saturation configuration for ctest / CI gating: capacity is
-    // 4 workers / 20 ms = 200 qps, offered 400 qps.
-    flags.requests = 600;
-    flags.qps = 400.0;
-    flags.workers = 4;
-    flags.service_us = 20'000;
-    flags.deadline_us = 200'000;
-    flags.threads = 8;
-    flags.seed = 20240806;
-    flags.rate = 0.02;
-    flags.selfcheck = true;
-  }
-  codes::serve::LoadGenOptions options;
-  options.seed = flags.seed;
-  options.num_requests = flags.requests;
-  options.offered_qps = flags.qps;
-  options.virtual_workers = flags.workers;
-  options.service_base_us = flags.service_us;
-  options.deadline_us = flags.deadline_us;
-  options.threads = flags.threads;
-  options.front_end.admission.queue_capacity = flags.queue;
-  options.front_end.admission.rate_per_sec = flags.rate_limit;
-  if (flags.adv) {
-    options.adv_rate = flags.adv_rate;
-    options.harden = true;
-  }
-  if (!flags.spec.empty()) {
-    options.failpoint_spec = flags.spec;
-  } else if (flags.rate > 0.0) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "*=prob:%g", flags.rate);
-    options.failpoint_spec = buf;
-  }
+  codes::campaign::ParseFlags(argc, argv, "codes_load", table);
 
   auto start = std::chrono::steady_clock::now();
-  // Fixture: the tiny Spider-like benchmark with a fully set-up pipeline,
-  // the same serving configuration codes_chaos campaigns exercise.
-  auto bench = codes::BuildTinySpiderLike(2024);
-  codes::LmZoo zoo(1, 31);
-  codes::PipelineConfig config;
-  config.size = codes::ModelSize::k7B;
-  codes::CodesPipeline pipeline(config, zoo.CodesFor(config.size));
-  pipeline.TrainClassifier(bench);
-  pipeline.FineTune(bench);
-
-  // Setup is done: zero the registry so the exported snapshot covers
-  // exactly the campaign.
-  codes::MetricsRegistry::Global().Reset();
-  codes::serve::LoadReport report =
-      codes::serve::RunLoadCampaign(pipeline, bench, options);
-  codes::MetricsSnapshot snapshot =
-      codes::MetricsRegistry::Global().Snapshot();
-
-  std::printf("load campaign: requests=%d qps=%g workers=%d service_us=%"
-              PRIu64 " seed=%" PRIu64 " spec=\"%s\"\n",
-              flags.requests, flags.qps, flags.workers, flags.service_us,
-              flags.seed, options.failpoint_spec.c_str());
-  std::fputs(report.Summary().c_str(), stdout);
-
-  int exit_code = 0;
-  if (CheckSumInvariant(snapshot, report) != 0) exit_code = 1;
-  if (flags.adv && CheckAdvInvariant(snapshot) != 0) exit_code = 1;
-  if (report.admitted + report.rejected_rate + report.rejected_queue_full +
-          report.rejected_tenant_rate + report.shed_deadline +
-          report.shed_drain !=
-      report.offered) {
-    std::printf("INVARIANT VIOLATION: per-request outcomes do not sum to "
-                "offered=%" PRIu64 "\n",
-                report.offered);
-    exit_code = 1;
-  }
-
-  if (!flags.metrics_out.empty()) {
-    std::FILE* out = std::fopen(flags.metrics_out.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", flags.metrics_out.c_str());
-      return 2;
-    }
-    std::string json = snapshot.ToJson() + "\n";
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::fprintf(stderr, "metrics snapshot written to %s\n",
-                 flags.metrics_out.c_str());
-  }
-
-  if (flags.selfcheck) {
-    // The whole campaign must replay byte-identically single-threaded:
-    // every control decision happens at virtual timestamps derived from
-    // the seed, never from real scheduling. Both the per-request digest
-    // and the deterministic view of the metrics snapshot are compared.
-    // The replay starts from a cold retriever cache like the first run
-    // did, so the cache hit/miss counters are comparable.
-    std::string view = DeterministicView(snapshot).ToJson();
-    pipeline.ClearRetrieverCache();
-    codes::MetricsRegistry::Global().Reset();
-    codes::serve::LoadGenOptions serial = options;
-    serial.threads = 1;
-    codes::serve::LoadReport replay =
-        codes::serve::RunLoadCampaign(pipeline, bench, serial);
-    std::string serial_view =
-        DeterministicView(codes::MetricsRegistry::Global().Snapshot())
-            .ToJson();
-    if (replay.digest == report.digest && serial_view == view) {
-      std::printf("selfcheck: 1-thread replay digest and metrics match\n");
-    } else {
-      std::printf("selfcheck FAILED: %d-thread digest %016" PRIx64
-                  " != 1-thread digest %016" PRIx64 " (metrics %s)\n",
-                  flags.threads, report.digest, replay.digest,
-                  serial_view == view ? "match" : "differ");
-      exit_code = 1;
-    }
-  }
-
+  int exit_code = flags.mt_smoke                ? RunMtSmoke(flags)
+                  : flags.adv && flags.smoke ? RunAdvSmoke(flags)
+                                             : RunDefault(flags);
   auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
                      std::chrono::steady_clock::now() - start)
                      .count();
-  std::fprintf(stderr, "elapsed: %lld ms (%d threads)\n",
-               static_cast<long long>(elapsed), flags.threads);
+  std::fprintf(stderr, "elapsed: %lld ms\n", static_cast<long long>(elapsed));
   return exit_code;
 }
