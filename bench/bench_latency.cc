@@ -724,7 +724,7 @@ void OverloadGoodputSection(const Text2SqlBenchmark& bench,
     uint64_t dropped = report.rejected_rate + report.rejected_queue_full +
                        report.shed_deadline + report.shed_drain;
     std::string levels;
-    for (int level = 0; level < serve::kNumBrownoutLevels; ++level) {
+    for (int level = 0; level < kNumBrownoutLevels; ++level) {
       if (level > 0) levels += "/";
       levels += std::to_string(report.served_at_level[level]);
     }

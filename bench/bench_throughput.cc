@@ -48,7 +48,6 @@ void AdversarialGoodputSection(const Text2SqlBenchmark& bench,
   adv.deadline_us = 200'000;
   adv.threads = 2;  // any value produces the same report — that's the DES
   adv.front_end.admission.queue_capacity = 64;
-  adv.harden = true;
   adv.adv_rate = 0.3;
   serve::LoadGenOptions clean = adv;
   clean.adv_rate = 0.0;

@@ -1,9 +1,7 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <chrono>
 #include <mutex>
-#include <thread>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
@@ -26,8 +24,6 @@ struct ServeMetrics {
       MetricsRegistry::Global().GetCounter("serve.unverified");
   Counter& repair_attempts =
       MetricsRegistry::Global().GetCounter("serve.repair_attempts");
-  Counter& backoff_sleeps =
-      MetricsRegistry::Global().GetCounter("serve.backoff_sleeps");
   Counter* rung_fired[4] = {
       &MetricsRegistry::Global().GetCounter("serve.rung.classifier_fallback"),
       &MetricsRegistry::Global().GetCounter("serve.rung.value_fallback"),
@@ -127,6 +123,12 @@ uint64_t HashString(const std::string& s) {
   }
   return h;
 }
+
+/// Failed beam candidates a request may try before giving up on
+/// verification (the primary beam and the canonical retry share it). At
+/// least the beam width, so the paper's first-executable selection is
+/// reproduced exactly.
+constexpr int kMaxRepairAttempts = 16;
 
 /// Rough token cost of including a demonstration in the prompt.
 int DemoTokenCost(const Text2SqlSample& sample) {
@@ -363,13 +365,13 @@ DatabasePrompt CodesPipeline::BuildPromptInternal(
         options.max_prompt_tokens - config_.icl_shots * mean_demo_cost_);
   }
 
-  // Brownout richness overrides: tighter schema top-k at higher levels.
-  // No rung fires for these — the stages are healthy, the prompt is just
-  // cheaper (report->brownout_level records the policy).
-  if (serve != nullptr) {
-    if (serve->top_k1_override > 0) options.top_k1 = serve->top_k1_override;
-    if (serve->top_k2_override > 0) options.top_k2 = serve->top_k2_override;
-  }
+  // Brownout richness: tighter schema top-k at higher levels. No rung
+  // fires for this — the stages are healthy, the prompt is just cheaper
+  // (report->brownout_level records the policy).
+  const BrownoutKnobs& knobs =
+      BrownoutRow(serve != nullptr ? serve->brownout_level : 0);
+  if (knobs.top_k1 > 0) options.top_k1 = knobs.top_k1;
+  if (knobs.top_k2 > 0) options.top_k2 = knobs.top_k2;
 
   // Ladder rung 1: classifier unavailable (never trained/shared), failing
   // (injected fault), or breaker-forced off by the serving front end —
@@ -391,12 +393,12 @@ DatabasePrompt CodesPipeline::BuildPromptInternal(
   // Ladder rung 2 (inside RetrieverForGuarded): value index unavailable —
   // prompt carries no matched values. A breaker-forced skip fires the same
   // rung (the stage is genuinely being avoided as failing); a brownout
-  // skip (disable_value_retriever) does not.
+  // row without value retrieval does not.
   const ValueRetriever* retriever = nullptr;
   std::shared_ptr<const ValueRetriever> lease;
   if (serve != nullptr && serve->force_value_fallback) {
     if (report != nullptr) report->AddRung(ServeRung::kValueFallback);
-  } else if (serve != nullptr && serve->disable_value_retriever) {
+  } else if (!knobs.value_retrieval) {
     // Policy skip: no rung, no retriever.
   } else if (serve != nullptr && serve->value_retriever != nullptr) {
     // Fleet-injected artifact: the caller holds the lease; the pipeline's
@@ -412,10 +414,10 @@ DatabasePrompt CodesPipeline::BuildPromptInternal(
 }
 
 std::vector<const Text2SqlSample*> CodesPipeline::CollectDemonstrations(
-    const Text2SqlSample& sample, int max_demos) const {
+    const Text2SqlSample& sample, const BrownoutKnobs& knobs) const {
   std::vector<const Text2SqlSample*> demos;
   int shots = config_.icl_shots;
-  if (max_demos >= 0) shots = std::min(shots, max_demos);
+  if (knobs.max_icl_demos >= 0) shots = std::min(shots, knobs.max_icl_demos);
   if (shots > 0 && !demo_pool_.empty()) {
     if (config_.random_demonstrations || demo_retriever_ == nullptr) {
       // Draw config_.icl_shots demos and truncate, rather than drawing
@@ -440,14 +442,6 @@ std::string CodesPipeline::Predict(const Text2SqlBenchmark& bench,
   return PredictGuarded(bench, sample, ServeOptions());
 }
 
-double CodesPipeline::ComputeBackoffMs(int attempt, double base_ms,
-                                       double cap_ms) {
-  if (base_ms <= 0.0 || attempt < 1) return 0.0;
-  double ms = base_ms;
-  for (int i = 1; i < attempt && ms < cap_ms; ++i) ms *= 2.0;
-  return std::min(ms, cap_ms);
-}
-
 std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
                                           const Text2SqlSample& sample,
                                           const ServeOptions& options,
@@ -461,8 +455,9 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
   ServeReport scratch;
   ServeReport& rep = report != nullptr ? *report : scratch;
   rep = ServeReport();
-  rep.brownout_level = options.brownout_level;
-  rep.suspect = options.suspect;
+  const BrownoutKnobs& knobs = BrownoutRow(options.brownout_level);
+  rep.brownout_level = knobs.level;
+  rep.suspect = options.canonical_question.has_value();
 
   // The per-sample generation seed doubles as the failpoint slot: it
   // identifies this request independently of scheduling, so fault
@@ -473,10 +468,10 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
 
   const sql::Database& db = bench.DbOf(sample);
 
-  // Generation breaker open (or brownout level 4): skip every stage and
-  // serve the emergency query directly. This is the cheapest possible
-  // response and the only rung that fires on this path.
-  if (options.force_emergency_sql) {
+  // Generation breaker open (or the brownout row says so): skip every
+  // stage and serve the emergency query directly. This is the cheapest
+  // possible response and the only rung that fires on this path.
+  if (options.force_emergency_sql || knobs.emergency_sql) {
     rep.AddRung(ServeRung::kEmergencySql);
     rep.candidate_rank = -1;
     rep.final_status =
@@ -499,7 +494,7 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
   if (config_.use_external_knowledge) {
     input.external_knowledge = sample.external_knowledge;
   }
-  input.demonstrations = CollectDemonstrations(sample, options.max_icl_demos);
+  input.demonstrations = CollectDemonstrations(sample, knobs);
 
   // Candidate execution happens in the repair loop below, under the
   // guard; skip the model's own unguarded execution probe.
@@ -510,7 +505,7 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
   }();
 
   // Stage span: candidate verification + repair loop (guarded execution
-  // of beam candidates, including any backoff sleeps).
+  // of beam candidates).
   CODES_TRACE_SPAN(verify_span, "pipeline.verify");
 
   // Verification backend: the in-memory database, or the caller-provided
@@ -531,21 +526,12 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
   int attempts = 0;
   auto walk = [&](const auto& candidates) -> int {
     for (size_t i = 0; i < candidates.size(); ++i) {
-      if (attempts >= options.max_repair_attempts) break;
+      if (attempts >= kMaxRepairAttempts) break;
       const std::string& sql = candidates[i].sql;
       if (sql.empty()) continue;
       if (fallback_rank < 0) {
         fallback_sql = sql;
         fallback_rank = static_cast<int>(i);
-      }
-      if (attempts > 0) {
-        double ms = ComputeBackoffMs(attempts, options.backoff_base_ms,
-                                     options.backoff_cap_ms);
-        if (ms > 0.0) {
-          Metrics().backoff_sleeps.Increment();
-          std::this_thread::sleep_for(
-              std::chrono::duration<double, std::milli>(ms));
-        }
       }
       Status exec_status;
       if (Failpoints::ShouldFail(FailpointSite::kLmDecode)) {
@@ -586,12 +572,12 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
   // canonicalization is precisely what hands the schema classifier and
   // value retriever cleaner text. Counted under serve.adv.retry*, and the
   // retry's own generation/verification lands in the verify span.
-  if (options.suspect && !options.canonical_question.empty() &&
-      options.canonical_question != sample.question &&
-      attempts < options.max_repair_attempts) {
+  if (options.canonical_question && !options.canonical_question->empty() &&
+      *options.canonical_question != sample.question &&
+      attempts < kMaxRepairAttempts) {
     rep.canonical_retries = 1;
     Text2SqlSample canonical = sample;
-    canonical.question = options.canonical_question;
+    canonical.question = *options.canonical_question;
     DatabasePrompt retry_prompt =
         BuildPromptInternal(bench, canonical, &guard, &rep, &options);
     GenerationInput retry_input = input;

@@ -1,8 +1,11 @@
 #ifndef CODES_CORE_PIPELINE_H_
 #define CODES_CORE_PIPELINE_H_
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -55,7 +58,7 @@ struct PipelineConfig {
 ///                        the prompt carries no matched values;
 ///   kRepair              a beam candidate failed decode/parse/bind/
 ///                        guarded-execute and a lower-ranked candidate was
-///                        tried (bounded, with capped exponential backoff);
+///                        tried (at most 16 failed candidates per request);
 ///   kEmergencySql        no usable candidate at all — a trivial but
 ///                        syntactically valid query is served.
 enum class ServeRung : int {
@@ -68,6 +71,43 @@ enum class ServeRung : int {
 /// Stable snake_case name ("classifier_fallback") for reports and logs.
 const char* ServeRungName(ServeRung rung);
 
+/// One row of the brownout level table: the Algorithm 1 prompt knobs a
+/// request served at that level keeps. Under load the knobs the paper
+/// tunes for quality become a cost dial, and each level strips the
+/// next-cheapest source of quality. A stripped knob fires no ladder rung —
+/// the stage is healthy, the process is shedding cost — except
+/// `emergency_sql`, which fires kEmergencySql.
+struct BrownoutKnobs {
+  int level;             ///< the row's own index in kBrownoutLevels
+  int max_icl_demos;     ///< cap on ICL demonstrations; -1 = uncapped
+  bool value_retrieval;  ///< false = the prompt carries no matched values
+  int top_k1;            ///< > 0 overrides PromptOptions::top_k1
+  int top_k2;            ///< > 0 overrides PromptOptions::top_k2
+  bool emergency_sql;    ///< serve the emergency query, skip every stage
+};
+
+/// The brownout level table, indexed by ServeOptions::brownout_level. The
+/// pipeline reads a request's row to build its prompt; the serving front
+/// end reads the same row to decide which circuit breakers to consult and
+/// feed. This is the only place a per-level knob is written down.
+inline constexpr BrownoutKnobs kBrownoutLevels[] = {
+    // level demos values top_k1 top_k2 emergency
+    {0, -1, true, 0, 0, false},  // L0 full richness (same as Predict)
+    {1, 1, true, 0, 0, false},   // L1 at most one ICL demonstration
+    {2, 0, false, 0, 0, false},  // L2 no demonstrations, no values
+    {3, 0, false, 2, 4, false},  // L3 + schema top_k1=2 / top_k2=4
+    {4, 0, false, 2, 4, true},   // L4 emergency SQL only
+};
+
+inline constexpr int kNumBrownoutLevels =
+    static_cast<int>(std::size(kBrownoutLevels));
+
+/// The table row for `level`. A level from a library caller becomes a
+/// table index here, so this is where it is clamped into range.
+constexpr const BrownoutKnobs& BrownoutRow(int level) {
+  return kBrownoutLevels[std::clamp(level, 0, kNumBrownoutLevels - 1)];
+}
+
 /// Per-request serving knobs. The default options guard nothing and
 /// reproduce Predict's historical behaviour byte-for-byte.
 struct ServeOptions {
@@ -76,14 +116,6 @@ struct ServeOptions {
   ExecLimits limits;
   /// Optional cooperative cancellation; must outlive the call.
   const CancelToken* cancel = nullptr;
-  /// Max failed beam candidates tried before giving up on verification.
-  /// Must be >= beam width to preserve the paper's first-executable
-  /// selection exactly.
-  int max_repair_attempts = 16;
-  /// Exponential backoff between repair attempts: attempt k sleeps
-  /// base * 2^(k-1) ms, capped. Base 0 (default) never sleeps.
-  double backoff_base_ms = 0.0;
-  double backoff_cap_ms = 8.0;
 
   /// When set, candidate verification executes against this backend
   /// instead of the benchmark's in-memory database (prompt construction
@@ -98,58 +130,37 @@ struct ServeOptions {
   /// the pipeline's internal per-database cache. This is how the fleet
   /// manager plugs a tenant's leased artifact into a request: the lease
   /// (a shared_ptr held by the caller) must outlive the call. Ignored
-  /// when force_value_fallback or disable_value_retriever is set.
+  /// when force_value_fallback is set or the brownout row strips values.
   const ValueRetriever* value_retriever = nullptr;
 
-  // --- Overload-protection overrides (set by the serving front end;
-  // src/serve/) -------------------------------------------------------
-  //
-  // The `force_*` flags are circuit-breaker actions: they make the
-  // request behave as if the stage had failed, firing the corresponding
-  // ladder rung without ever touching the stage. The richness knobs below
-  // them are brownout policy: they cheapen the prompt but fire no rung —
-  // the stage is healthy, the *process* is shedding cost.
-
-  /// Skip the schema classifier (breaker open): full unfiltered schema,
-  /// fires kClassifierFallback.
-  bool force_classifier_fallback = false;
-  /// Skip value retrieval (breaker open): no matched values, fires
-  /// kValueFallback.
-  bool force_value_fallback = false;
-  /// Serve the emergency SQL immediately (generation breaker open): no
-  /// decoding at all, fires kEmergencySql.
-  bool force_emergency_sql = false;
-
-  /// Caps ICL demonstrations; -1 (default) means no cap, 0 means none.
-  int max_icl_demos = -1;
-  /// Skips value retrieval as *policy* (no rung fired, unlike
-  /// force_value_fallback).
-  bool disable_value_retriever = false;
-  /// When > 0, overrides PromptOptions::top_k1 / top_k2 (only ever
-  /// downward in practice; the builder clamps to schema size anyway).
-  int top_k1_override = 0;
-  int top_k2_override = 0;
-  /// Brownout level these knobs were derived from (0 = full richness);
-  /// copied into ServeReport for digests and metrics, not interpreted
-  /// by the pipeline itself.
+  /// Row of kBrownoutLevels the request is served at (0 = full richness).
+  /// Out-of-range values are clamped by BrownoutRow.
   int brownout_level = 0;
 
-  // --- Adversarial-input handling (set by the hardening front door;
-  // src/serve/harden) --------------------------------------------------
+  // --- Circuit-breaker actions (set by the serving front end;
+  // src/serve/). Each makes the request behave as if the stage had
+  // failed, firing the corresponding ladder rung without ever touching
+  // the stage. ----------------------------------------------------------
 
-  /// The hardening pass flagged this request (structural repair fired or
-  /// the anomaly score crossed the threshold). Partition flag: every
+  /// Skip the schema classifier: full unfiltered schema, fires
+  /// kClassifierFallback.
+  bool force_classifier_fallback = false;
+  /// Skip value retrieval: no matched values, fires kValueFallback.
+  bool force_value_fallback = false;
+  /// Serve the emergency SQL immediately: no decoding at all, fires
+  /// kEmergencySql.
+  bool force_emergency_sql = false;
+
+  /// Set when the hardening front door (src/serve/harden) flagged the
+  /// request suspect; holds the canonicalized question (zero-width
+  /// stripped, confusables folded to ASCII, whitespace collapsed). Every
   /// request lands in exactly one of serve.adv.clean / serve.adv.suspect,
-  /// which always sum to serve.requests. Default false, so direct
-  /// Predict/eval/chaos callers all count as clean.
-  bool suspect = false;
-  /// Canonicalized form of the question (zero-width stripped, confusables
-  /// folded to ASCII, whitespace collapsed). When a *suspect* request's
-  /// beam produces no verified candidate, PredictGuarded retries once
-  /// against this form — bounded by the same max_repair_attempts budget —
-  /// before falling to the unverified/emergency rungs. Empty (or equal to
-  /// the question) disables the retry.
-  std::string canonical_question;
+  /// and unset (the default, so every direct Predict/eval/chaos caller)
+  /// counts as clean. When a suspect request's beam produces no verified
+  /// candidate, PredictGuarded retries once against this form — bounded
+  /// by the same repair budget — before falling to the unverified and
+  /// emergency rungs. Empty (or equal to the question) skips the retry.
+  std::optional<std::string> canonical_question;
 };
 
 /// What happened while serving one request. Never reports failure to
@@ -163,9 +174,10 @@ struct ServeReport {
   /// True when the served SQL executed successfully under the guard.
   bool execution_verified = false;
   /// Brownout level the request was served at (ServeOptions::brownout_level
-  /// echoed back; 0 when the caller never set one).
+  /// clamped into the table; 0 when the caller never set one).
   int brownout_level = 0;
-  /// ServeOptions::suspect echoed back (the serve.adv.* partition).
+  /// True when ServeOptions::canonical_question was set (the serve.adv.*
+  /// partition).
   bool suspect = false;
   /// 1 when the canonical-question retry ran (suspect request whose
   /// primary beam failed verification), 0 otherwise.
@@ -246,11 +258,6 @@ class CodesPipeline {
                              const ServeOptions& options,
                              ServeReport* report = nullptr) const;
 
-  /// Backoff schedule of the repair loop: attempt k (1-based) sleeps
-  /// min(base * 2^(k-1), cap) milliseconds; 0 when base <= 0. Exposed for
-  /// tests.
-  static double ComputeBackoffMs(int attempt, double base_ms, double cap_ms);
-
   /// Convenience: an eval::SqlPredictor bound to `bench`.
   SqlPredictor PredictorFor(const Text2SqlBenchmark& bench) const;
 
@@ -297,16 +304,17 @@ class CodesPipeline {
 
   /// Shared implementation of BuildPrompt/PredictGuarded: applies the
   /// classifier and value rungs of the ladder while constructing options.
-  /// `serve` (optional) carries the breaker/brownout overrides.
+  /// `serve` (optional) carries the breaker actions and the brownout
+  /// level whose row sets the schema top-k and value retrieval.
   DatabasePrompt BuildPromptInternal(const Text2SqlBenchmark& bench,
                                      const Text2SqlSample& sample,
                                      ExecGuard* guard, ServeReport* report,
                                      const ServeOptions* serve) const;
 
-  /// ICL demonstrations for `sample` (empty unless icl_shots > 0).
-  /// `max_demos` < 0 means uncapped.
+  /// ICL demonstrations for `sample` (empty unless icl_shots > 0), capped
+  /// by the brownout row's max_icl_demos.
   std::vector<const Text2SqlSample*> CollectDemonstrations(
-      const Text2SqlSample& sample, int max_demos) const;
+      const Text2SqlSample& sample, const BrownoutKnobs& knobs) const;
 
   std::string QuestionWithEk(const Text2SqlSample& sample) const;
 

@@ -37,19 +37,5 @@ int BrownoutController::Update(double queue_fullness, uint64_t now_us) {
   return level_;
 }
 
-void BrownoutController::ApplyLevel(int level, ServeOptions* options) {
-  options->brownout_level = level;
-  if (level >= 1) options->max_icl_demos = 1;
-  if (level >= 2) {
-    options->max_icl_demos = 0;
-    options->disable_value_retriever = true;
-  }
-  if (level >= 3) {
-    options->top_k1_override = 2;
-    options->top_k2_override = 4;
-  }
-  if (level >= 4) options->force_emergency_sql = true;
-}
-
 }  // namespace serve
 }  // namespace codes

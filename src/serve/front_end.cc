@@ -245,7 +245,17 @@ bool ServeFrontEnd::Dequeue(uint64_t now_us, QueuedRequest* out,
   return got;
 }
 
-ServeOptions ServeFrontEnd::OptionsForLocked(uint64_t now_us) {
+std::optional<std::string> ServeFrontEnd::Harden(
+    Text2SqlSample* sample) const {
+  if (!options_.harden.enabled) return std::nullopt;
+  HardenResult hardened = HardenQuestion(sample->question, options_.harden);
+  sample->question = std::move(hardened.sanitized);
+  if (!hardened.suspect) return std::nullopt;
+  return std::move(hardened.canonical);
+}
+
+ServeOptions ServeFrontEnd::OptionsForLocked(
+    uint64_t now_us, std::optional<std::string> canonical) {
   ServeOptions options;
   options.limits = options_.limits;
   if (options_.default_deadline_us > 0 &&
@@ -254,12 +264,16 @@ ServeOptions ServeFrontEnd::OptionsForLocked(uint64_t now_us) {
         static_cast<double>(options_.default_deadline_us) * 1e-6;
   }
 
-  BrownoutController::ApplyLevel(brownout_.level(), &options);
+  // Suspect requests never run richer than the floor, but an overload
+  // brownout that is already deeper stays in charge.
+  int floor = canonical ? options_.harden.suspect_floor_level : 0;
+  const BrownoutKnobs& knobs = BrownoutRow(std::max(brownout_.level(), floor));
+  options.brownout_level = knobs.level;
 
   // Breaker consults are skipped for stages this request will not touch
-  // anyway (brownout already stripped them) — consulting would burn
+  // anyway (its row already strips them) — consulting would burn
   // half-open probe slots on requests that can never report a verdict.
-  if (!options.force_emergency_sql) {
+  if (!knobs.emergency_sql) {
     auto consult = [&](ServeStage stage, bool* force) {
       int s = static_cast<int>(stage);
       BreakerState before = breakers_[s].state();
@@ -267,44 +281,47 @@ ServeOptions ServeFrontEnd::OptionsForLocked(uint64_t now_us) {
       NoteBreakerTransition(stage, before);
     };
     consult(ServeStage::kClassifier, &options.force_classifier_fallback);
-    if (!options.disable_value_retriever) {
+    if (knobs.value_retrieval) {
       consult(ServeStage::kValueRetrieval, &options.force_value_fallback);
     }
     consult(ServeStage::kGeneration, &options.force_emergency_sql);
   }
+
+  if (canonical) {
+    options.canonical_question = std::move(canonical);
+    Metrics().adv_pre_degraded.Increment();
+  }
   return options;
 }
 
-ServeOptions ServeFrontEnd::OptionsFor(uint64_t now_us) {
+ServeOptions ServeFrontEnd::OptionsFor(uint64_t now_us,
+                                       std::optional<std::string> canonical) {
   std::lock_guard<std::mutex> lock(mu_);
-  return OptionsForLocked(now_us);
+  return OptionsForLocked(now_us, std::move(canonical));
 }
 
 void ServeFrontEnd::CompleteLocked(const ServeOptions& options_used,
                                    const ServeReport& report,
                                    uint64_t now_us) {
-  FrontEndMetrics& m = Metrics();
-  int level = std::clamp(options_used.brownout_level, 0,
-                         kNumBrownoutLevels - 1);
-  m.served_level[level]->Increment();
+  const BrownoutKnobs& knobs = BrownoutRow(options_used.brownout_level);
+  Metrics().served_level[knobs.level]->Increment();
 
-  // Breaker feed. A stage the front end itself forced off (or brownout
-  // stripped) reports a fallback rung, but that is self-inflicted, not
-  // evidence the stage is failing — skip it. force_emergency_sql skips
-  // every stage: nothing ran.
+  // Breaker feed. A stage the front end itself forced off (or the
+  // brownout row stripped) reports a fallback rung, but that is
+  // self-inflicted, not evidence the stage is failing — skip it. An
+  // emergency-SQL request skips every stage: nothing ran.
   auto feed = [&](ServeStage stage, bool failed) {
     int s = static_cast<int>(stage);
     BreakerState before = breakers_[s].state();
     breakers_[s].RecordOutcome(failed, now_us);
     NoteBreakerTransition(stage, before);
   };
-  if (options_used.force_emergency_sql) return;
+  if (options_used.force_emergency_sql || knobs.emergency_sql) return;
   if (!options_used.force_classifier_fallback) {
     feed(ServeStage::kClassifier,
          report.Fired(ServeRung::kClassifierFallback));
   }
-  if (!options_used.force_value_fallback &&
-      !options_used.disable_value_retriever) {
+  if (!options_used.force_value_fallback && knobs.value_retrieval) {
     feed(ServeStage::kValueRetrieval,
          report.Fired(ServeRung::kValueFallback));
   }
@@ -349,20 +366,6 @@ void ServeFrontEnd::ObserveFullnessLocked(double fullness, uint64_t now_us) {
   m.brownout_level.Set(after);
 }
 
-void ServeFrontEnd::MarkSuspect(ServeOptions* options,
-                                std::string canonical_question) const {
-  options->suspect = true;
-  options->canonical_question = std::move(canonical_question);
-  int floor = std::clamp(options_.harden.suspect_floor_level, 0,
-                         kNumBrownoutLevels - 1);
-  // Suspect requests never run richer than the floor, but an overload
-  // brownout that is already deeper stays in charge.
-  if (options->brownout_level < floor) {
-    BrownoutController::ApplyLevel(floor, options);
-  }
-  Metrics().adv_pre_degraded.Increment();
-}
-
 void ServeFrontEnd::ObserveQueue(uint64_t now_us) {
   std::lock_guard<std::mutex> lock(mu_);
   FrontEndMetrics& m = Metrics();
@@ -378,10 +381,8 @@ Status ServeFrontEnd::Serve(const Text2SqlSample& sample, std::string* sql,
   FrontEndMetrics& m = Metrics();
   // Hardening is pure — run it outside the mutex so hostile input never
   // extends the critical section.
-  HardenResult hardened;
-  if (options_.harden.enabled) {
-    hardened = HardenQuestion(sample.question, options_.harden);
-  }
+  Text2SqlSample request = sample;
+  std::optional<std::string> canonical = Harden(&request);
   uint64_t now = WallNowUs();
   ServeOptions options;
   {
@@ -402,28 +403,15 @@ Status ServeFrontEnd::Serve(const Text2SqlSample& sample, std::string* sql,
         static_cast<double>(in_flight_) /
             static_cast<double>(options_.admission.queue_capacity),
         now);
-    options = OptionsForLocked(now);
+    options = OptionsForLocked(now, std::move(canonical));
     m.admitted.Increment();
     ++in_flight_;
-  }
-
-  const Text2SqlSample* request = &sample;
-  Text2SqlSample sanitized_sample;
-  if (options_.harden.enabled) {
-    if (hardened.sanitized != sample.question) {
-      sanitized_sample = sample;
-      sanitized_sample.question = hardened.sanitized;
-      request = &sanitized_sample;
-    }
-    if (hardened.suspect) {
-      MarkSuspect(&options, std::move(hardened.canonical));
-    }
   }
 
   ServeReport scratch;
   ServeReport& rep = report != nullptr ? *report : scratch;
   std::string out =
-      pipeline_->PredictGuarded(*bench_, *request, options, &rep);
+      pipeline_->PredictGuarded(*bench_, request, options, &rep);
 
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -455,10 +443,11 @@ bool ServeFrontEnd::TryServeAsync(
   // The pool's bounded queue is the waiting room; the task re-checks the
   // deadline on dequeue, exactly like DeadlineQueue::Pop sheds expired
   // entries before spending pipeline time on them.
-  auto task = [this, sample, done = std::move(done), enqueued = now,
-               deadline]() {
+  auto task = [this, sample = Text2SqlSample(sample), done = std::move(done),
+               enqueued = now, deadline]() mutable {
     FrontEndMetrics& metrics = Metrics();
     uint64_t start = WallNowUs();
+    std::optional<std::string> canonical = Harden(&sample);
     ServeOptions options;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -468,7 +457,7 @@ bool ServeFrontEnd::TryServeAsync(
       } else {
         metrics.admitted.Increment();
         metrics.queue_wait_us.Observe(static_cast<double>(start - enqueued));
-        options = OptionsForLocked(start);
+        options = OptionsForLocked(start, std::move(canonical));
       }
     }
     if (deadline != 0 && start >= deadline) {
@@ -476,22 +465,9 @@ bool ServeFrontEnd::TryServeAsync(
            ServeReport());
       return;
     }
-    const Text2SqlSample* request = &sample;
-    Text2SqlSample sanitized_sample;
-    if (options_.harden.enabled) {
-      HardenResult hardened = HardenQuestion(sample.question, options_.harden);
-      if (hardened.sanitized != sample.question) {
-        sanitized_sample = sample;
-        sanitized_sample.question = hardened.sanitized;
-        request = &sanitized_sample;
-      }
-      if (hardened.suspect) {
-        MarkSuspect(&options, std::move(hardened.canonical));
-      }
-    }
     ServeReport report;
     std::string sql =
-        pipeline_->PredictGuarded(*bench_, *request, options, &report);
+        pipeline_->PredictGuarded(*bench_, sample, options, &report);
     {
       std::lock_guard<std::mutex> lock(mu_);
       CompleteLocked(options, report, WallNowUs());

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,10 +49,10 @@ struct FrontEndOptions {
   /// Deadline assigned to requests that arrive without one (0 = none).
   uint64_t default_deadline_us = 0;
   /// Request-hardening front door (UTF-8 repair, byte cap, control strip,
-  /// anomaly scoring). Applied on the wall-clock paths before the
-  /// pipeline sees the question; the explicit-time API leaves hardening
-  /// to its single owner (codes_load hardens on the DES driver thread)
-  /// and only supplies MarkSuspect for the verdict.
+  /// anomaly scoring), applied by Harden before the pipeline sees the
+  /// question: on the wall-clock paths by the front end itself, on the
+  /// explicit-time API by its single owner (codes_load hardens on the DES
+  /// driver thread). `harden.enabled = false` serves questions untouched.
   HardenOptions harden;
   /// Tenant display names, parallel to admission.tenants. When non-empty,
   /// every offer/admit/reject/shed is also attributed to a
@@ -73,8 +74,8 @@ struct FrontEndOptions {
 ///
 /// Two usage modes share all decision logic:
 ///
-///  * Explicit-time API (Offer/Dequeue/OptionsFor/Complete/Drain): the
-///    caller owns the clock. codes_load drives it with a virtual clock
+///  * Explicit-time API (Harden/Offer/Dequeue/OptionsFor/Complete/Drain):
+///    the caller owns the clock. codes_load drives it with a virtual clock
 ///    from a single DES thread, which is what makes saturation campaigns
 ///    byte-identical at any real thread count. NOT thread-safe; a single
 ///    owner serializes calls.
@@ -105,13 +106,28 @@ class ServeFrontEnd {
   bool Dequeue(uint64_t now_us, QueuedRequest* out,
                std::vector<QueuedRequest>* shed = nullptr);
 
-  /// ServeOptions for a request dispatched now: base limits + brownout
-  /// richness level + breaker-forced stage skips.
-  ServeOptions OptionsFor(uint64_t now_us);
+  /// The hardening front door, written once for every serving path:
+  /// rewrites `sample`'s question to its sanitized form and returns the
+  /// verdict — the canonical question when the request is suspect,
+  /// nullopt when it is clean or hardening is off. Pure and lock-free, so
+  /// callers run it outside the front end's lock.
+  std::optional<std::string> Harden(Text2SqlSample* sample) const;
+
+  /// The request plan for a request dispatched at `now_us`, decided once
+  /// and in this order: (1) take the hardening verdict (`canonical` set =
+  /// suspect); (2) level = max(brownout controller level, the suspect
+  /// floor HardenOptions::suspect_floor_level); (3) look up that level's
+  /// kBrownoutLevels row; (4) consult the breakers only for the stages
+  /// the row still runs, so a request never takes a half-open probe slot
+  /// it cannot report on; (5) stamp the canonical question and count
+  /// serve.adv.pre_degraded. Limits come from FrontEndOptions.
+  ServeOptions OptionsFor(uint64_t now_us,
+                          std::optional<std::string> canonical = {});
 
   /// Feeds a finished request's report back into the breakers (stages the
-  /// front end itself forced or disabled are skipped — their "failures"
-  /// are self-inflicted) and the per-level served counters.
+  /// front end itself forced, or the request's brownout row stripped, are
+  /// skipped — their "failures" are self-inflicted) and the per-level
+  /// served counters.
   void Complete(const ServeOptions& options_used, const ServeReport& report,
                 uint64_t now_us);
 
@@ -123,16 +139,6 @@ class ServeFrontEnd {
   /// serve.queue.depth / serve.brownout.level gauges. Call whenever depth
   /// changes (arrivals, dispatches).
   void ObserveQueue(uint64_t now_us);
-
-  /// Marks a request suspect after its hardening verdict: stamps the
-  /// suspect flag and the canonical retry question into `options`, and
-  /// raises its brownout richness floor to HardenOptions::
-  /// suspect_floor_level (never lowers an already deeper brownout).
-  /// Thread-safe and lock-free — it only reads construction-time options
-  /// and bumps the serve.adv.pre_degraded counter — so both the DES
-  /// driver and the wall-clock paths call it directly.
-  void MarkSuspect(ServeOptions* options,
-                   std::string canonical_question) const;
 
   int brownout_level() const { return brownout_.level(); }
   const BrownoutController& brownout() const { return brownout_; }
@@ -183,7 +189,8 @@ class ServeFrontEnd {
 
   Admission OfferLocked(uint64_t id, uint64_t deadline_us, uint64_t now_us,
                         int tenant);
-  ServeOptions OptionsForLocked(uint64_t now_us);
+  ServeOptions OptionsForLocked(uint64_t now_us,
+                                std::optional<std::string> canonical);
   void CompleteLocked(const ServeOptions& options_used,
                       const ServeReport& report, uint64_t now_us);
   void ObserveFullnessLocked(double fullness, uint64_t now_us);

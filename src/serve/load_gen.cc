@@ -15,7 +15,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "dataset/perturb.h"
-#include "serve/harden.h"
 
 namespace codes {
 namespace serve {
@@ -83,10 +82,10 @@ uint64_t VirtualServiceUs(uint64_t seed, uint64_t id, int level,
                           uint64_t base_us) {
   static constexpr double kLevelCost[kNumBrownoutLevels] = {1.0, 0.8, 0.6,
                                                            0.45, 0.08};
-  int l = std::clamp(level, 0, kNumBrownoutLevels - 1);
   Rng rng(seed ^ (id * 0x9E3779B97F4A7C15ULL) ^ 0x5EBFULL);
   double jitter = rng.UniformDouble(0.75, 1.25);
-  double us = static_cast<double>(base_us) * kLevelCost[l] * jitter;
+  double us = static_cast<double>(base_us) *
+              kLevelCost[BrownoutRow(level).level] * jitter;
   return std::max<uint64_t>(1, static_cast<uint64_t>(us));
 }
 
@@ -285,34 +284,25 @@ LoadReport RunLoadCampaign(const CodesPipeline& pipeline,
     while (free_workers > 0 && front_end.Dequeue(now_us, &next, &expired)) {
       uint64_t id = next.id;
       Slot& slot = slots[id];
-      slot.options = front_end.OptionsFor(now_us);
+      // Mutation and hardening happen here, on the DES thread, before the
+      // request is planned and its virtual cost priced: a suspect's
+      // raised brownout floor makes it cheaper in virtual time exactly as
+      // it would be in real serving.
+      const Text2SqlSample* sample = &bench.dev[sample_of[id]];
+      std::optional<std::string> canonical;
+      if (is_adv[id] != 0 || options.front_end.harden.enabled) {
+        slot.sample_storage = *sample;
+        if (is_adv[id] != 0) slot.sample_storage.question = mutated[id];
+        canonical = front_end.Harden(&slot.sample_storage);
+        sample = &slot.sample_storage;
+      }
+      slot.options = front_end.OptionsFor(now_us, std::move(canonical));
       if (multi_tenant && options.tenant_attach) {
         // Fleet attach happens here, on the DES thread at a virtual
         // timestamp — so the attach/evict sequence is a pure function of
         // the seed no matter how many real threads execute the work.
         slot.lease = options.tenant_attach(tenant_of[id]);
         slot.options.value_retriever = slot.lease.get();
-      }
-      // Mutation and hardening happen here, on the DES thread, before
-      // the virtual cost is priced: a suspect's raised brownout floor
-      // makes it cheaper in virtual time exactly as it would be in real
-      // serving.
-      const Text2SqlSample* sample = &bench.dev[sample_of[id]];
-      if (is_adv[id] != 0 || options.harden) {
-        slot.sample_storage = *sample;
-        if (is_adv[id] != 0) slot.sample_storage.question = mutated[id];
-        if (options.harden) {
-          HardenResult hardened = HardenQuestion(
-              slot.sample_storage.question, options.front_end.harden);
-          if (hardened.sanitized != slot.sample_storage.question) {
-            slot.sample_storage.question = hardened.sanitized;
-          }
-          if (hardened.suspect) {
-            front_end.MarkSuspect(&slot.options,
-                                  std::move(hardened.canonical));
-          }
-        }
-        sample = &slot.sample_storage;
       }
       uint64_t service = VirtualServiceUs(options.seed, id,
                                           slot.options.brownout_level,
@@ -443,9 +433,7 @@ LoadReport RunLoadCampaign(const CodesPipeline& pipeline,
       case Outcome::kServed: {
         ++report.admitted;
         if (row != nullptr) ++row->admitted;
-        int level = std::clamp(slot.options.brownout_level, 0,
-                               kNumBrownoutLevels - 1);
-        ++report.served_at_level[level];
+        ++report.served_at_level[slot.report.brownout_level];
         if (slot.deadline_us == 0 || slot.finish_us <= slot.deadline_us) {
           ++report.served_within_deadline;
           if (row != nullptr) ++row->served_within_deadline;
@@ -456,7 +444,7 @@ LoadReport RunLoadCampaign(const CodesPipeline& pipeline,
           ++report.served_late;
         }
         if (slot.report.execution_verified) ++report.verified;
-        if (slot.options.suspect) ++report.suspect;
+        if (slot.report.suspect) ++report.suspect;
         report.canonical_retries +=
             static_cast<uint64_t>(slot.report.canonical_retries);
         if (slot.report.canonical_served) ++report.canonical_served;

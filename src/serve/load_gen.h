@@ -48,6 +48,10 @@ struct LoadGenOptions {
   /// Real execution threads for the pipeline work (never affects the
   /// campaign's decisions or digest — that is the point).
   int threads = 1;
+  /// Front-end tuning. With front_end.harden.enabled (the default) every
+  /// dispatched question goes through ServeFrontEnd::Harden on the DES
+  /// thread, as a live front door would; clean dev questions pass it
+  /// untouched, so clean campaigns keep their digests either way.
   FrontEndOptions front_end;
   /// Optional failpoint campaign spec, configured with `seed`.
   std::string failpoint_spec;
@@ -60,11 +64,6 @@ struct LoadGenOptions {
   /// without moving a single arrival. 0 = legacy clean campaign,
   /// byte-identical digest.
   double adv_rate = 0.0;
-  /// Run each dispatched question through the serve-side hardening pass
-  /// (sanitize, suspect verdict, canonical-retry marking, brownout floor)
-  /// on the DES thread, as a live front door would. Off by default so
-  /// campaigns recorded before hardening keep their digests.
-  bool harden = false;
 
   /// Multi-tenant traffic mix; empty = legacy single-tenant campaign
   /// whose report, Summary, and digest are byte-identical to builds that

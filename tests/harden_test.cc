@@ -193,7 +193,6 @@ class AdversarialServeTest : public ::testing::Test {
         c.sample.question, QuestionMutation::kSchemaNoise, seed);
     HardenResult h = HardenQuestion(noisy, HardenOptions());
     c.sample.question = h.sanitized;
-    c.options.suspect = true;
     c.options.canonical_question = h.canonical;
     return c;
   }
@@ -206,24 +205,28 @@ Text2SqlBenchmark* AdversarialServeTest::bench_ = nullptr;
 LmZoo* AdversarialServeTest::zoo_ = nullptr;
 CodesPipeline* AdversarialServeTest::pipeline_ = nullptr;
 
-TEST_F(AdversarialServeTest, MarkSuspectRaisesBrownoutFloorNeverLowers) {
+TEST_F(AdversarialServeTest, SuspectFloorRaisesBrownoutNeverLowers) {
   FrontEndOptions options;  // harden.suspect_floor_level = 2
+  options.admission.queue_capacity = 4;
+  options.brownout.dwell_us = 100;
   ServeFrontEnd fe(pipeline_, bench_, options);
 
-  ServeOptions fresh;
-  fe.MarkSuspect(&fresh, "canonical text");
-  EXPECT_TRUE(fresh.suspect);
+  ServeOptions clean = fe.OptionsFor(0);
+  EXPECT_FALSE(clean.canonical_question.has_value());
+  EXPECT_EQ(clean.brownout_level, 0);
+
+  ServeOptions fresh = fe.OptionsFor(0, "canonical text");
   EXPECT_EQ(fresh.canonical_question, "canonical text");
   EXPECT_EQ(fresh.brownout_level, 2) << "floor applied to a level-0 request";
-  EXPECT_EQ(fresh.max_icl_demos, 0);
-  EXPECT_TRUE(fresh.disable_value_retriever);
 
   // An already deeper brownout is left alone: the floor only raises.
-  ServeOptions deep;
-  BrownoutController::ApplyLevel(3, &deep);
-  fe.MarkSuspect(&deep, "c");
+  for (uint64_t id = 0; id < 4; ++id) {
+    ASSERT_EQ(fe.Offer(id, 0, 1'000), Admission::kEnqueued);
+  }
+  for (uint64_t now = 1'000; now <= 1'200; now += 100) fe.ObserveQueue(now);
+  ASSERT_EQ(fe.brownout_level(), 3);
+  ServeOptions deep = fe.OptionsFor(1'250, "c");
   EXPECT_EQ(deep.brownout_level, 3);
-  EXPECT_EQ(deep.top_k1_override, 2);
 
   MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
   EXPECT_EQ(CounterDelta(snapshot, "serve.adv.pre_degraded"), 2u);
@@ -326,7 +329,6 @@ TEST_F(AdversarialServeTest, AdvCampaignIsByteIdenticalAcrossThreadCounts) {
   options.threads = 1;
   options.front_end.brownout.dwell_us = 50'000;
   options.adv_rate = 0.3;
-  options.harden = true;
 
   LoadReport serial = RunLoadCampaign(*pipeline_, *bench_, options);
   options.threads = 4;
@@ -354,8 +356,9 @@ TEST_F(AdversarialServeTest, AdvCampaignIsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(AdversarialServeTest, AdvRateZeroKeepsLegacyCampaignByteIdentical) {
-  // adv_rate 0 with hardening off must reproduce the pre-adversarial
-  // campaign exactly: same digest, no adversarial accounting, and a
+  // adv_rate 0 must reproduce the pre-adversarial campaign exactly, with
+  // hardening on (the default) or off: clean dev questions pass the front
+  // door untouched, so the same digest, no adversarial accounting, and a
   // Summary with no adversarial block.
   LoadGenOptions legacy;
   legacy.seed = 99;
@@ -366,7 +369,7 @@ TEST_F(AdversarialServeTest, AdvRateZeroKeepsLegacyCampaignByteIdentical) {
 
   LoadGenOptions zeroed = legacy;
   zeroed.adv_rate = 0.0;
-  zeroed.harden = false;
+  zeroed.front_end.harden.enabled = false;
 
   LoadReport a = RunLoadCampaign(*pipeline_, *bench_, legacy);
   LoadReport b = RunLoadCampaign(*pipeline_, *bench_, zeroed);

@@ -398,35 +398,39 @@ TEST(BrownoutTest, MaxLevelOptionCapsDegradation) {
   EXPECT_EQ(brownout.Update(1.0, 3'000), 2);
 }
 
-TEST(BrownoutTest, ApplyLevelSetsTheDocumentedKnobs) {
-  ServeOptions l0;
-  BrownoutController::ApplyLevel(0, &l0);
+TEST(BrownoutTest, LevelTableSetsTheDocumentedKnobs) {
+  ASSERT_EQ(kNumBrownoutLevels, 5);
+  for (int level = 0; level < kNumBrownoutLevels; ++level) {
+    EXPECT_EQ(BrownoutRow(level).level, level);
+  }
+
+  const BrownoutKnobs& l0 = BrownoutRow(0);
   EXPECT_EQ(l0.max_icl_demos, -1);
-  EXPECT_FALSE(l0.disable_value_retriever);
-  EXPECT_FALSE(l0.force_emergency_sql);
-  EXPECT_EQ(l0.brownout_level, 0);
+  EXPECT_TRUE(l0.value_retrieval);
+  EXPECT_EQ(l0.top_k1, 0);
+  EXPECT_FALSE(l0.emergency_sql);
 
-  ServeOptions l1;
-  BrownoutController::ApplyLevel(1, &l1);
+  const BrownoutKnobs& l1 = BrownoutRow(1);
   EXPECT_EQ(l1.max_icl_demos, 1);
-  EXPECT_FALSE(l1.disable_value_retriever);
+  EXPECT_TRUE(l1.value_retrieval);
 
-  ServeOptions l2;
-  BrownoutController::ApplyLevel(2, &l2);
+  const BrownoutKnobs& l2 = BrownoutRow(2);
   EXPECT_EQ(l2.max_icl_demos, 0);
-  EXPECT_TRUE(l2.disable_value_retriever);
-  EXPECT_EQ(l2.top_k1_override, 0);
+  EXPECT_FALSE(l2.value_retrieval);
+  EXPECT_EQ(l2.top_k1, 0);
 
-  ServeOptions l3;
-  BrownoutController::ApplyLevel(3, &l3);
-  EXPECT_EQ(l3.top_k1_override, 2);
-  EXPECT_EQ(l3.top_k2_override, 4);
-  EXPECT_FALSE(l3.force_emergency_sql);
+  const BrownoutKnobs& l3 = BrownoutRow(3);
+  EXPECT_EQ(l3.top_k1, 2);
+  EXPECT_EQ(l3.top_k2, 4);
+  EXPECT_FALSE(l3.emergency_sql);
 
-  ServeOptions l4;
-  BrownoutController::ApplyLevel(4, &l4);
-  EXPECT_TRUE(l4.force_emergency_sql);
-  EXPECT_EQ(l4.brownout_level, 4);
+  const BrownoutKnobs& l4 = BrownoutRow(4);
+  EXPECT_TRUE(l4.emergency_sql);
+  EXPECT_EQ(l4.level, 4);
+
+  // A level from a library caller is clamped into the table.
+  EXPECT_EQ(&BrownoutRow(-1), &l0);
+  EXPECT_EQ(&BrownoutRow(99), &l4);
 }
 
 // ---------------------------------------------------------- serve front end
@@ -687,8 +691,6 @@ TEST_F(ServeFrontEndTest, QueuePressureDrivesBrownoutUpAndDown) {
 
   ServeOptions degraded = fe.OptionsFor(1'150);
   EXPECT_EQ(degraded.brownout_level, 2);
-  EXPECT_EQ(degraded.max_icl_demos, 0);
-  EXPECT_TRUE(degraded.disable_value_retriever);
 
   // Drain the pressure: the controller steps back toward full richness.
   QueuedRequest out;
@@ -705,10 +707,11 @@ TEST_F(ServeFrontEndTest, QueuePressureDrivesBrownoutUpAndDown) {
 }
 
 TEST_F(ServeFrontEndTest, BrownoutStrippedValueStageDoesNotFireRung) {
-  // disable_value_retriever is brownout *policy*: the stage is healthy,
-  // so no ladder rung fires and the value breaker is not consulted.
+  // A row without value retrieval is brownout *policy*: the stage is
+  // healthy, so no ladder rung fires and the value breaker is not
+  // consulted.
   ServeOptions serve;
-  BrownoutController::ApplyLevel(2, &serve);
+  serve.brownout_level = 2;
   ServeReport report;
   std::string sql = pipeline_->PredictGuarded(*bench_, bench_->dev.front(),
                                               serve, &report);
@@ -716,6 +719,54 @@ TEST_F(ServeFrontEndTest, BrownoutStrippedValueStageDoesNotFireRung) {
   EXPECT_FALSE(report.Fired(ServeRung::kValueFallback));
   EXPECT_TRUE(report.execution_verified);
   EXPECT_EQ(report.brownout_level, 2);
+}
+
+TEST_F(ServeFrontEndTest, SuspectsTakeNoValueBreakerProbeSlots) {
+  // A suspect's brownout floor (level 2) strips value retrieval, so the
+  // value breaker must not be consulted for it: a half-open probe slot
+  // handed to a request that can never report a verdict is lost, and once
+  // suspects had spent them all the breaker stayed half-open and forced
+  // the value fallback on every later clean request.
+  FrontEndOptions options;
+  options.breaker = SmallBreaker();
+  options.breaker.half_open_probes = 3;
+  ASSERT_EQ(options.harden.suspect_floor_level, 2);
+  ServeFrontEnd fe(pipeline_, bench_, options);
+
+  ServeReport value_failed;
+  value_failed.AddRung(ServeRung::kValueFallback);
+  value_failed.execution_verified = true;
+  ServeReport healthy;
+  healthy.execution_verified = true;
+
+  uint64_t now = 0;
+  while (fe.breaker_state(ServeStage::kValueRetrieval) ==
+         BreakerState::kClosed) {
+    ASSERT_LT(now, 200u) << "value breaker never tripped";
+    ServeOptions serve = fe.OptionsFor(now);
+    fe.Complete(serve, value_failed, now);
+    now += 10;
+  }
+  now += options.breaker.cooldown_us;
+
+  for (int i = 0; i < 3; ++i) {
+    ServeOptions suspect = fe.OptionsFor(now, "canonical question");
+    EXPECT_EQ(suspect.brownout_level, 2);
+    EXPECT_FALSE(suspect.force_value_fallback);
+    fe.Complete(suspect, healthy, now);
+    now += 10;
+  }
+
+  for (int probe = 0; probe < options.breaker.close_after; ++probe) {
+    ServeOptions clean = fe.OptionsFor(now);
+    ASSERT_FALSE(clean.force_value_fallback) << "probe " << probe;
+    EXPECT_EQ(fe.breaker_state(ServeStage::kValueRetrieval),
+              BreakerState::kHalfOpen);
+    fe.Complete(clean, healthy, now);
+    now += 10;
+  }
+  EXPECT_EQ(fe.breaker_state(ServeStage::kValueRetrieval),
+            BreakerState::kClosed);
 }
 
 TEST_F(ServeFrontEndTest, SyncServeServesAndRateLimits) {

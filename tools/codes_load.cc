@@ -203,10 +203,7 @@ int RunDefault(Flags flags) {
   options.threads = flags.threads;
   options.front_end.admission.queue_capacity = flags.queue;
   options.front_end.admission.rate_per_sec = flags.rate_limit;
-  if (flags.adv) {
-    options.adv_rate = flags.adv_rate;
-    options.harden = true;
-  }
+  if (flags.adv) options.adv_rate = flags.adv_rate;
   if (!flags.spec.empty()) {
     options.failpoint_spec = flags.spec;
   } else if (flags.rate > 0.0) {
@@ -470,7 +467,6 @@ int RunAdvSmoke(const Flags& flags) {
   adv.deadline_us = 200'000;
   adv.threads = 8;
   adv.front_end.admission.queue_capacity = 64;
-  adv.harden = true;
   adv.adv_rate = flags.adv_rate;
 
   // Clean reference: the identical schedule with zero mutations prices
