@@ -2,8 +2,7 @@
 #define CODES_COMMON_SERIAL_H_
 
 // Minimal binary (de)serialization substrate for persisted serving
-// artifacts (fleet tenant snapshots: BM25 value indexes, classifier
-// weights, demonstration pools).
+// artifacts (fleet tenant snapshots: BM25 value indexes).
 //
 // Format philosophy: fixed-width little-endian-as-stored integers and
 // bit-cast doubles appended to a std::string. Snapshots are a cache, not

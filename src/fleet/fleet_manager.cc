@@ -1,9 +1,11 @@
 #include "fleet/fleet_manager.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <utility>
 
+#include "common/crc32.h"
 #include "common/metrics.h"
 #include "common/serial.h"
 #include "common/status.h"
@@ -15,7 +17,7 @@ namespace {
 
 /// Fleet residency counters and gauges. Attach counters count *cold*
 /// attaches (evicted/never-built -> resident transitions), split by how
-/// the bundle was obtained; a lease against an already-resident bundle
+/// the index was obtained; a lease against an already-resident index
 /// bumps nothing. Gauges mirror the fleet's current occupancy.
 struct FleetMetrics {
   Counter& attach = MetricsRegistry::Global().GetCounter("fleet.attach");
@@ -30,6 +32,12 @@ struct FleetMetrics {
       MetricsRegistry::Global().GetGauge("fleet.resident_tenants");
   Gauge& resident_bytes_peak =
       MetricsRegistry::Global().GetGauge("fleet.resident_bytes_peak");
+
+  FleetMetrics() {
+    // Every cold attach is either a source build or a snapshot load.
+    MetricsRegistry::Global().DeclareInvariant(
+        {"fleet.attach", {"fleet.attach.build", "fleet.attach.snapshot"}});
+  }
 };
 
 FleetMetrics& Metrics() {
@@ -37,64 +45,10 @@ FleetMetrics& Metrics() {
   return *metrics;
 }
 
+/// Snapshot layout: magic, version, Crc32 of the payload, payload (one
+/// ValueRetriever::SaveTo image).
 constexpr uint32_t kTenantMagic = 0x544E4E54;  // "TNNT"
-constexpr uint32_t kTenantVersion = 1;
-
-size_t SampleBytes(const Text2SqlSample& sample) {
-  size_t bytes = sizeof(sample) + sample.question.size() +
-                 sample.sql.size() + sample.external_knowledge.size();
-  for (const UsedSchemaItem& item : sample.used_items) {
-    bytes += sizeof(item) + item.table.size() + item.column.size();
-  }
-  return bytes;
-}
-
-void SaveSample(std::string* out, const Text2SqlSample& sample) {
-  serial::PutI32(out, sample.db_index);
-  serial::PutString(out, sample.question);
-  serial::PutString(out, sample.sql);
-  serial::PutI32(out, sample.template_id);
-  serial::PutString(out, sample.external_knowledge);
-  serial::PutU64(out, sample.used_items.size());
-  for (const UsedSchemaItem& item : sample.used_items) {
-    serial::PutString(out, item.table);
-    serial::PutString(out, item.column);
-  }
-}
-
-bool LoadSample(serial::Reader* reader, Text2SqlSample* sample) {
-  uint64_t n_items = 0;
-  if (!reader->ReadI32(&sample->db_index) ||
-      !reader->ReadString(&sample->question) ||
-      !reader->ReadString(&sample->sql) ||
-      !reader->ReadI32(&sample->template_id) ||
-      !reader->ReadString(&sample->external_knowledge) ||
-      !reader->ReadU64(&n_items) || n_items > reader->remaining()) {
-    return false;
-  }
-  sample->used_items.resize(n_items);
-  for (UsedSchemaItem& item : sample->used_items) {
-    if (!reader->ReadString(&item.table) ||
-        !reader->ReadString(&item.column)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Sums the bundle's byte cost from its parts.
-size_t BundleBytes(const TenantArtifacts& artifacts) {
-  size_t bytes = sizeof(artifacts);
-  if (artifacts.retriever != nullptr) bytes += artifacts.retriever->ApproxBytes();
-  if (artifacts.classifier != nullptr) {
-    bytes += artifacts.classifier->ApproxBytes();
-  }
-  if (artifacts.demos != nullptr) bytes += artifacts.demos->ApproxBytes();
-  for (const Text2SqlSample& sample : artifacts.demo_pool) {
-    bytes += SampleBytes(sample);
-  }
-  return bytes;
-}
+constexpr uint32_t kTenantVersion = 2;
 
 }  // namespace
 
@@ -114,7 +68,7 @@ int FleetManager::AddTenant(TenantDesc desc) {
               "duplicate fleet tenant name");
   int id = static_cast<int>(tenants_.size());
   tenant_ids_.emplace(desc.name, id);
-  tenants_.push_back(TenantState{std::move(desc), nullptr, 0});
+  tenants_.push_back(TenantState{std::move(desc), nullptr, 0, 0});
   return id;
 }
 
@@ -124,96 +78,38 @@ std::string FleetManager::SnapshotPath(int tenant) const {
          tenants_[static_cast<size_t>(tenant)].desc.name + ".tenant";
 }
 
-std::shared_ptr<const TenantArtifacts> FleetManager::BuildFromSource(
-    const TenantState& state) const {
-  auto artifacts = std::make_shared<TenantArtifacts>();
-  auto retriever = std::make_shared<ValueRetriever>();
-  retriever->BuildIndex(*state.desc.db);
-  artifacts->retriever = std::move(retriever);
-  if (state.desc.classifier_source != nullptr) {
-    auto classifier = std::make_shared<SchemaItemClassifier>();
-    SchemaItemClassifier::TrainOptions train;
-    train.seed = options_.classifier_seed;
-    classifier->Train(*state.desc.classifier_source, train);
-    artifacts->classifier = std::move(classifier);
-  }
-  artifacts->demo_pool = state.desc.demo_pool;
-  if (!artifacts->demo_pool.empty()) {
-    DemonstrationRetriever::Options demo_options;
-    demo_options.embedding_dim = options_.demo_embedding_dim;
-    artifacts->demos = std::make_shared<DemonstrationRetriever>(
-        artifacts->demo_pool, demo_options);
-  }
-  artifacts->bytes = BundleBytes(*artifacts);
-  return artifacts;
-}
-
-std::shared_ptr<const TenantArtifacts> FleetManager::LoadSnapshot(
-    const TenantState& state) const {
-  if (options_.snapshot_dir.empty()) return nullptr;
-  std::string path = options_.snapshot_dir + "/" + state.desc.name + ".tenant";
+std::shared_ptr<const ValueRetriever> FleetManager::LoadSnapshot(
+    const std::string& path) const {
+  if (path.empty()) return nullptr;
   std::ifstream in(path, std::ios::binary);
   if (!in) return nullptr;
   std::string data((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   serial::Reader reader(data);
-  if (!serial::ReadMagic(&reader, kTenantMagic, kTenantVersion)) {
+  uint32_t crc = 0;
+  if (!serial::ReadMagic(&reader, kTenantMagic, kTenantVersion) ||
+      !reader.ReadU32(&crc) ||
+      Crc32(data.data() + reader.pos(), reader.remaining()) != crc) {
     return nullptr;
   }
-  auto artifacts = std::make_shared<TenantArtifacts>();
-  uint32_t has_retriever = 0, has_classifier = 0;
-  if (!reader.ReadU32(&has_retriever)) return nullptr;
-  if (has_retriever != 0) {
-    auto retriever = std::make_shared<ValueRetriever>();
-    if (!retriever->LoadFrom(&reader).ok()) return nullptr;
-    artifacts->retriever = std::move(retriever);
-  }
-  if (!reader.ReadU32(&has_classifier)) return nullptr;
-  if (has_classifier != 0) {
-    auto classifier = std::make_shared<SchemaItemClassifier>();
-    if (!classifier->LoadFrom(&reader).ok()) return nullptr;
-    artifacts->classifier = std::move(classifier);
-  }
-  uint64_t n_demos = 0;
-  if (!reader.ReadU64(&n_demos) || n_demos > reader.remaining()) {
-    return nullptr;
-  }
-  artifacts->demo_pool.resize(n_demos);
-  for (Text2SqlSample& sample : artifacts->demo_pool) {
-    if (!LoadSample(&reader, &sample)) return nullptr;
-  }
-  // Trailing bytes mean the file is not what SaveTo wrote — treat like
-  // any other malformation and rebuild from source.
-  if (!reader.Done()) return nullptr;
-  if (!artifacts->demo_pool.empty()) {
-    // The demonstration retriever is derived deterministically from the
-    // pool; rebuilding it from the reloaded samples is byte-identical to
-    // the one built from source.
-    DemonstrationRetriever::Options demo_options;
-    demo_options.embedding_dim = options_.demo_embedding_dim;
-    artifacts->demos = std::make_shared<DemonstrationRetriever>(
-        artifacts->demo_pool, demo_options);
-  }
-  artifacts->bytes = BundleBytes(*artifacts);
-  return artifacts;
+  auto retriever = std::make_shared<ValueRetriever>();
+  // Trailing bytes mean the file is not what PersistSnapshot wrote —
+  // treat like any other malformation and rebuild from source.
+  if (!retriever->LoadFrom(&reader).ok() || !reader.Done()) return nullptr;
+  return retriever;
 }
 
-void FleetManager::PersistSnapshot(const TenantState& state,
-                                   const TenantArtifacts& artifacts) const {
-  if (options_.snapshot_dir.empty()) return;
+void FleetManager::PersistSnapshot(const std::string& path,
+                                   const ValueRetriever& retriever) const {
+  if (path.empty()) return;
+  std::string payload;
+  retriever.SaveTo(&payload);
   std::string data;
   serial::PutMagic(&data, kTenantMagic, kTenantVersion);
-  serial::PutU32(&data, artifacts.retriever != nullptr ? 1 : 0);
-  if (artifacts.retriever != nullptr) artifacts.retriever->SaveTo(&data);
-  serial::PutU32(&data, artifacts.classifier != nullptr ? 1 : 0);
-  if (artifacts.classifier != nullptr) artifacts.classifier->SaveTo(&data);
-  serial::PutU64(&data, artifacts.demo_pool.size());
-  for (const Text2SqlSample& sample : artifacts.demo_pool) {
-    SaveSample(&data, sample);
-  }
+  serial::PutU32(&data, Crc32(payload.data(), payload.size()));
+  data += payload;
   // Write-then-rename so a crash mid-write leaves either the old snapshot
   // or none — a torn file would just be rebuilt, but never half-trusted.
-  std::string path = options_.snapshot_dir + "/" + state.desc.name + ".tenant";
   std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
@@ -233,9 +129,11 @@ void FleetManager::UpdateResidencyGaugesLocked() {
     if (state.resident != nullptr) ++resident;
   }
   m.resident_tenants.Set(static_cast<int64_t>(resident));
-  if (resident_bytes_ > peak_resident_bytes_) {
-    peak_resident_bytes_ = resident_bytes_;
-    m.resident_bytes_peak.Set(static_cast<int64_t>(peak_resident_bytes_));
+  peak_resident_bytes_ = std::max(peak_resident_bytes_, resident_bytes_);
+  // The gauge is compared against its own value, not the fleet's
+  // lifetime peak, so it restarts from 0 with every registry reset.
+  if (static_cast<int64_t>(resident_bytes_) > m.resident_bytes_peak.Value()) {
+    m.resident_bytes_peak.Set(static_cast<int64_t>(resident_bytes_));
   }
 }
 
@@ -254,13 +152,14 @@ void FleetManager::EvictOverBudgetLocked(int keep) {
     }
     if (victim < 0) return;  // only `keep` is resident: keep serving it
     TenantState& state = tenants_[static_cast<size_t>(victim)];
-    resident_bytes_ -= state.resident->bytes;
+    resident_bytes_ -= state.bytes;
     state.resident = nullptr;  // outstanding leases stay alive
+    state.bytes = 0;
     Metrics().evict.Increment();
   }
 }
 
-std::shared_ptr<const TenantArtifacts> FleetManager::Attach(int tenant) {
+std::shared_ptr<const ValueRetriever> FleetManager::Attach(int tenant) {
   std::lock_guard<std::mutex> lock(mu_);
   if (tenant < 0 || static_cast<size_t>(tenant) >= tenants_.size()) {
     return nullptr;
@@ -270,20 +169,24 @@ std::shared_ptr<const TenantArtifacts> FleetManager::Attach(int tenant) {
   if (state.resident != nullptr) return state.resident;
 
   FleetMetrics& m = Metrics();
-  std::shared_ptr<const TenantArtifacts> artifacts = LoadSnapshot(state);
-  if (artifacts != nullptr) {
+  const std::string path = SnapshotPath(tenant);
+  std::shared_ptr<const ValueRetriever> retriever = LoadSnapshot(path);
+  if (retriever != nullptr) {
     m.attach_snapshot.Increment();
   } else {
-    artifacts = BuildFromSource(state);
-    PersistSnapshot(state, *artifacts);
+    auto built = std::make_shared<ValueRetriever>();
+    built->BuildIndex(*state.desc.db);
+    PersistSnapshot(path, *built);
+    retriever = std::move(built);
     m.attach_build.Increment();
   }
   m.attach.Increment();
-  state.resident = artifacts;
-  resident_bytes_ += artifacts->bytes;
+  state.resident = retriever;
+  state.bytes = retriever->ApproxBytes();
+  resident_bytes_ += state.bytes;
   EvictOverBudgetLocked(tenant);
   UpdateResidencyGaugesLocked();
-  return artifacts;
+  return retriever;
 }
 
 void FleetManager::WarmAll() {
@@ -297,8 +200,9 @@ void FleetManager::EvictAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (TenantState& state : tenants_) {
     if (state.resident == nullptr) continue;
-    resident_bytes_ -= state.resident->bytes;
+    resident_bytes_ -= state.bytes;
     state.resident = nullptr;
+    state.bytes = 0;
     Metrics().evict.Increment();
   }
   UpdateResidencyGaugesLocked();

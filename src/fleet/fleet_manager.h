@@ -8,9 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dataset/sample.h"
-#include "linker/schema_classifier.h"
-#include "retrieval/demonstration_retriever.h"
 #include "retrieval/value_retriever.h"
 #include "serve/admission.h"
 #include "sqlengine/database.h"
@@ -18,41 +15,24 @@
 namespace codes {
 namespace fleet {
 
-/// The resident artifact bundle of one attached tenant: everything the
-/// serving path needs that is derived from the tenant's database and
-/// training data, priced in bytes so the fleet can hold N tenants under
-/// one global memory budget.
-///
-/// Bundles are immutable once built and handed out as shared_ptr leases:
-/// eviction drops the fleet's reference, but an in-flight request keeps
-/// its lease alive until it finishes — there is never a dangling artifact
-/// pointer, only a briefly over-budget process.
-struct TenantArtifacts {
-  /// BM25 value index over the tenant database (Section 6.2 coarse stage).
-  std::shared_ptr<const ValueRetriever> retriever;
-  /// Schema item classifier state; null when the tenant registered no
-  /// training source (the serving pipeline's shared classifier is used).
-  std::shared_ptr<const SchemaItemClassifier> classifier;
-  /// Demonstration pool and its pattern-aware retriever; retriever is
-  /// null when the pool is empty.
-  std::vector<Text2SqlSample> demo_pool;
-  std::shared_ptr<const DemonstrationRetriever> demos;
-  /// Total resident cost (sum of the artifact ApproxBytes figures plus
-  /// the pool samples).
-  size_t bytes = 0;
-};
-
 /// A database fleet manager: owns N tenants in one process, attaching
-/// per-tenant artifacts lazily, persisting them so a cold re-attach skips
-/// the expensive build (tokenization, classifier training), and evicting
-/// least-recently-used bundles once the configured global memory budget
-/// is exceeded. This is ROADMAP item 1 — the step from "a pipeline" to
-/// "a service": per-database prompt state becomes a cacheable, evictable,
-/// reloadable serving asset (CodeS SIGMOD'24 §6).
+/// each tenant's BM25 value index (CodeS SIGMOD'24 §6.2 — the one serving
+/// artifact Algorithm 1 builds per database) lazily, persisting it so a
+/// cold re-attach skips the tokenization pass, and evicting
+/// least-recently-used indexes once the configured global memory budget
+/// is exceeded. The schema item classifier and the demonstration pool
+/// are cross-database and stay pipeline-wide.
+///
+/// Indexes are immutable once built and handed out as shared_ptr leases:
+/// eviction drops the fleet's reference, but an in-flight request keeps
+/// its lease alive until it finishes — there is never a dangling index
+/// pointer, only a briefly over-budget process.
 ///
 /// Metrics: fleet.attach / fleet.attach.build / fleet.attach.snapshot /
-/// fleet.evict counters, fleet.resident_bytes / fleet.resident_tenants /
-/// fleet.resident_bytes_peak gauges.
+/// fleet.evict counters (declared invariant: attach == build + snapshot),
+/// fleet.resident_bytes / fleet.resident_tenants gauges, and
+/// fleet.resident_bytes_peak, the high-water mark of resident bytes since
+/// the last registry reset.
 ///
 /// Thread-safety: all public methods are serialized by an internal mutex.
 /// Attach builds under the lock — the determinism campaigns drive the
@@ -62,29 +42,21 @@ struct TenantArtifacts {
 class FleetManager {
  public:
   struct Options {
-    /// Global budget over the sum of resident bundle bytes; 0 = no limit.
-    /// At least one bundle stays resident even when a single bundle
+    /// Global budget over the sum of resident index bytes; 0 = no limit.
+    /// At least one index stays resident even when a single index
     /// exceeds the budget (a fleet that can hold nothing serves nothing).
     size_t memory_budget_bytes = 0;
     /// Directory for per-tenant snapshot files ("<name>.tenant"). Empty
     /// disables persistence: every cold attach rebuilds from source.
     std::string snapshot_dir;
-    /// Embedding width of per-tenant demonstration retrievers.
-    int demo_embedding_dim = 192;
-    /// Seed for per-tenant classifier training.
-    uint64_t classifier_seed = 11;
   };
 
-  /// Registration-time description of a tenant. Pointers are borrowed and
-  /// must outlive the fleet; they are the rebuild source of truth when no
-  /// snapshot exists (or a snapshot fails verification).
+  /// Registration-time description of a tenant. The database pointer is
+  /// borrowed and must outlive the fleet; it is the rebuild source of
+  /// truth when no snapshot exists (or a snapshot fails verification).
   struct TenantDesc {
     std::string name;                 ///< unique; used in metrics + files
     const sql::Database* db = nullptr;  ///< value-index source (required)
-    /// Training source for a per-tenant classifier; null = no classifier.
-    const Text2SqlBenchmark* classifier_source = nullptr;
-    /// Few-shot demonstration pool (copied); may be empty.
-    std::vector<Text2SqlSample> demo_pool;
     /// Relative weight for weighted-fair admission.
     double admission_weight = 1.0;
     /// Per-tenant admission burst (tokens).
@@ -93,8 +65,8 @@ class FleetManager {
 
   explicit FleetManager(const Options& options);
 
-  /// Registers a tenant; no artifacts are built yet. Returns the tenant
-  /// id used by Attach and the admission layer. Names must be unique.
+  /// Registers a tenant; nothing is built yet. Returns the tenant id used
+  /// by Attach and the admission layer. Names must be unique.
   int AddTenant(TenantDesc desc);
 
   int NumTenants() const { return static_cast<int>(tenants_.size()); }
@@ -102,23 +74,23 @@ class FleetManager {
     return tenants_[static_cast<size_t>(tenant)].desc.name;
   }
 
-  /// The tenant's artifact bundle, building (or reloading from snapshot)
-  /// on first use and touching its LRU stamp. Never returns null for a
-  /// valid id; returns null for an out-of-range id. The lease keeps the
-  /// bundle alive across eviction.
-  std::shared_ptr<const TenantArtifacts> Attach(int tenant);
+  /// The tenant's value index, building (or reloading from snapshot) on
+  /// first use and touching its LRU stamp. Never returns null for a valid
+  /// id; returns null for an out-of-range id. The lease keeps the index
+  /// alive across eviction.
+  std::shared_ptr<const ValueRetriever> Attach(int tenant);
 
   /// Builds (and persists, when a snapshot_dir is configured) every
-  /// tenant's bundle once, then evicts them all. After a warm-up, every
+  /// tenant's index once, then evicts them all. After a warm-up, every
   /// Attach in a campaign is a snapshot load — the same work on every
   /// replay, which is what keeps fleet metric counts run-invariant.
   void WarmAll();
 
-  /// Drops every resident bundle (outstanding leases stay valid).
+  /// Drops every resident index (outstanding leases stay valid).
   /// Counts as evictions in the metrics.
   void EvictAll();
 
-  /// Sum of resident bundle bytes / number of resident bundles.
+  /// Sum of resident index bytes / number of resident indexes.
   size_t ResidentBytes() const;
   size_t NumResident() const;
   /// High-water mark of ResidentBytes over the fleet's lifetime.
@@ -137,22 +109,20 @@ class FleetManager {
  private:
   struct TenantState {
     TenantDesc desc;
-    std::shared_ptr<const TenantArtifacts> resident;  ///< null = evicted
+    std::shared_ptr<const ValueRetriever> resident;  ///< null = evicted
+    size_t bytes = 0;  ///< resident->ApproxBytes(), 0 when evicted
     uint64_t last_use = 0;
   };
 
-  /// Builds the bundle from source (db scan, classifier training, demo
-  /// encoding). Expensive; the path a snapshot load avoids.
-  std::shared_ptr<const TenantArtifacts> BuildFromSource(
-      const TenantState& state) const;
-  /// Attempts a snapshot load; null when missing or malformed (the
-  /// caller falls back to BuildFromSource — snapshots are a cache).
-  std::shared_ptr<const TenantArtifacts> LoadSnapshot(
-      const TenantState& state) const;
-  /// Serializes + atomically writes the bundle's snapshot file.
-  void PersistSnapshot(const TenantState& state,
-                       const TenantArtifacts& artifacts) const;
-  /// Evicts LRU bundles until the budget holds; `keep` is exempt.
+  /// Attempts a snapshot load from `path` ("" = persistence disabled);
+  /// null when missing, malformed or failing its checksum (the caller
+  /// falls back to a source build — snapshots are a cache).
+  std::shared_ptr<const ValueRetriever> LoadSnapshot(
+      const std::string& path) const;
+  /// Serializes + atomically writes the index's snapshot file.
+  void PersistSnapshot(const std::string& path,
+                       const ValueRetriever& retriever) const;
+  /// Evicts LRU indexes until the budget holds; `keep` is exempt.
   void EvictOverBudgetLocked(int keep);
   void UpdateResidencyGaugesLocked();
 

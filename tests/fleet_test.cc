@@ -1,9 +1,10 @@
-// Tier-1 coverage for multi-tenant serving (ISSUE 9): the bounded
-// per-database retriever cache inside CodesPipeline (the original
-// unbounded-growth bugfix), and the fleet manager that owns per-tenant
-// artifact bundles — lazy attach, snapshot persist/reload with
-// corruption fallback, LRU eviction under a global memory budget, and
-// the evict-then-reattach determinism contract at 1 and 8 threads.
+// Tier-1 coverage for multi-tenant serving: the bounded per-database
+// retriever cache inside CodesPipeline (the original unbounded-growth
+// bugfix), and the fleet manager that leases per-tenant value indexes —
+// lazy attach, checksummed snapshot persist/reload with corruption
+// fallback, LRU eviction under a global memory budget, its metric
+// accounting, and the evict-then-reattach determinism contract at 1 and
+// 8 threads.
 
 #include <gtest/gtest.h>
 
@@ -74,11 +75,6 @@ class FleetTest : public ::testing::Test {
       fleet::FleetManager::TenantDesc desc;
       desc.name = kNames[t];
       desc.db = &bench_->databases[static_cast<size_t>((*dev_dbs_)[t])];
-      desc.classifier_source = bench_;
-      for (int j = 0; j < 4; ++j) {
-        desc.demo_pool.push_back(bench_->train[static_cast<size_t>(
-            (t * 4 + j) % static_cast<int>(bench_->train.size()))]);
-      }
       fleet->AddTenant(std::move(desc));
     }
     return fleet;
@@ -207,67 +203,81 @@ TEST_F(FleetTest, AttachBuildsOnceAndSnapshotReloadsByteIdentically) {
   std::string snapshot_path;
   {
     auto fleet = MakeFleet(dir, 0);
-    auto artifacts = fleet->Attach(0);
-    ASSERT_NE(artifacts, nullptr);
-    ASSERT_NE(artifacts->retriever, nullptr);
-    EXPECT_GT(artifacts->bytes, 0u);
-    built_bytes = artifacts->bytes;
+    auto retriever = fleet->Attach(0);
+    ASSERT_NE(retriever, nullptr);
+    built_bytes = fleet->ResidentBytes();
+    EXPECT_EQ(built_bytes, retriever->ApproxBytes());
+    EXPECT_GT(built_bytes, 0u);
     snapshot_path = fleet->SnapshotPath(0);
 
-    // Resident re-attach is free: same bundle, no second build.
-    EXPECT_EQ(fleet->Attach(0).get(), artifacts.get());
+    // Resident re-attach is free: same index, no second build.
+    EXPECT_EQ(fleet->Attach(0).get(), retriever.get());
     MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
     EXPECT_EQ(CounterDelta(snapshot, "fleet.attach.build"), 1u);
     EXPECT_EQ(CounterDelta(snapshot, "fleet.attach.snapshot"), 0u);
     EXPECT_TRUE(std::filesystem::exists(snapshot_path));
 
     ServeOptions options;
-    options.value_retriever = artifacts->retriever.get();
+    options.value_retriever = retriever.get();
     built_sql = pipeline_->PredictGuarded(*bench_, *sample, options);
     ASSERT_FALSE(built_sql.empty());
   }
 
   // A fresh manager over the same snapshot directory must reload the
-  // bundle from disk (no build) and predict byte-identically.
+  // index from disk (no build) and predict byte-identically.
   MetricsRegistry::Global().Reset();
   {
     auto fleet = MakeFleet(dir, 0);
-    auto artifacts = fleet->Attach(0);
-    ASSERT_NE(artifacts, nullptr);
-    EXPECT_EQ(artifacts->bytes, built_bytes);
+    auto retriever = fleet->Attach(0);
+    ASSERT_NE(retriever, nullptr);
+    EXPECT_EQ(fleet->ResidentBytes(), built_bytes);
     MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
     EXPECT_EQ(CounterDelta(snapshot, "fleet.attach.build"), 0u);
     EXPECT_EQ(CounterDelta(snapshot, "fleet.attach.snapshot"), 1u);
 
     ServeOptions options;
-    options.value_retriever = artifacts->retriever.get();
+    options.value_retriever = retriever.get();
     EXPECT_EQ(pipeline_->PredictGuarded(*bench_, *sample, options),
               built_sql);
   }
 
-  // A corrupted snapshot is a cache miss, not an error: attach falls
-  // back to the source build and still serves the same predictions.
+  // A corrupted snapshot is a cache miss, not an error: one flipped byte
+  // anywhere past the 12-byte header (magic, version, checksum) — value
+  // strings and table/column indices included — fails the checksum, so
+  // attach falls back to the source build and still serves the same
+  // predictions.
+  std::string pristine;
   {
-    std::fstream file(snapshot_path,
-                      std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(file.good());
-    file.seekp(24);
-    char garbage = '\x5a';
-    file.write(&garbage, 1);
+    std::ifstream in(snapshot_path, std::ios::binary);
+    ASSERT_TRUE(in.good());
+    pristine.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
   }
-  MetricsRegistry::Global().Reset();
-  {
+  constexpr size_t kHeader = 12;
+  constexpr size_t kFlips = 10;
+  ASSERT_GT(pristine.size(), kHeader + kFlips);
+  for (size_t f = 0; f < kFlips; ++f) {
+    size_t offset = kHeader + f * (pristine.size() - kHeader) / kFlips;
+    std::string corrupt = pristine;
+    corrupt[offset] = static_cast<char>(corrupt[offset] ^ 0x5a);
+    {
+      std::ofstream out(snapshot_path, std::ios::binary | std::ios::trunc);
+      out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
+      ASSERT_TRUE(out.good());
+    }
+    MetricsRegistry::Global().Reset();
     auto fleet = MakeFleet(dir, 0);
-    auto artifacts = fleet->Attach(0);
-    ASSERT_NE(artifacts, nullptr);
+    auto retriever = fleet->Attach(0);
+    ASSERT_NE(retriever, nullptr);
     MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
     EXPECT_EQ(CounterDelta(snapshot, "fleet.attach.build"), 1u)
-        << "corrupted snapshot should fall back to a source build";
+        << "byte " << offset << " of " << pristine.size()
+        << " flipped: corrupted snapshot should fall back to a source build";
 
     ServeOptions options;
-    options.value_retriever = artifacts->retriever.get();
-    EXPECT_EQ(pipeline_->PredictGuarded(*bench_, *sample, options),
-              built_sql);
+    options.value_retriever = retriever.get();
+    EXPECT_EQ(pipeline_->PredictGuarded(*bench_, *sample, options), built_sql)
+        << "byte " << offset << " flipped";
   }
 }
 
@@ -296,8 +306,8 @@ TEST_F(FleetTest, WarmAllPersistsEverythingThenEvicts) {
 }
 
 TEST_F(FleetTest, MemoryBudgetEvictsLruAndKeepsNewest) {
-  // A budget of one byte can hold no bundle: every attach evicts the
-  // previous tenant, but the newest bundle always stays resident (a
+  // A budget of one byte can hold no index: every attach evicts the
+  // previous tenant, but the newest index always stays resident (a
   // fleet that can hold nothing serves nothing).
   auto fleet = MakeFleet("", 1);
   auto first = fleet->Attach(0);
@@ -309,9 +319,8 @@ TEST_F(FleetTest, MemoryBudgetEvictsLruAndKeepsNewest) {
   EXPECT_EQ(fleet->NumResident(), 1u);
 
   // The evicted lease stays fully usable — eviction drops the fleet's
-  // reference, never the artifacts under an in-flight request.
-  ASSERT_NE(first->retriever, nullptr);
-  EXPECT_GT(first->retriever->NumIndexedValues(), 0u);
+  // reference, never the index under an in-flight request.
+  EXPECT_GT(first->NumIndexedValues(), 0u);
 
   MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
   EXPECT_EQ(CounterDelta(snapshot, "fleet.evict"), 1u);
@@ -330,15 +339,15 @@ TEST_F(FleetTest, EvictThenReattachPredictsByteIdenticallyAt1And8Threads) {
   ASSERT_GE(samples.size(), 4u);
 
   // Reference: a fleet that never evicts (no budget) — every sample
-  // predicted with its tenant's resident bundle.
+  // predicted with its tenant's resident index.
   std::vector<std::string> reference(samples.size());
   {
     auto fleet = MakeFleet(dir, 0);
     for (size_t i = 0; i < samples.size(); ++i) {
-      auto artifacts = fleet->Attach(TenantOf(*samples[i]));
-      ASSERT_NE(artifacts, nullptr);
+      auto retriever = fleet->Attach(TenantOf(*samples[i]));
+      ASSERT_NE(retriever, nullptr);
       ServeOptions options;
-      options.value_retriever = artifacts->retriever.get();
+      options.value_retriever = retriever.get();
       reference[i] =
           pipeline_->PredictGuarded(*bench_, *samples[i], options);
       ASSERT_FALSE(reference[i].empty());
@@ -351,10 +360,10 @@ TEST_F(FleetTest, EvictThenReattachPredictsByteIdenticallyAt1And8Threads) {
   {
     auto fleet = MakeFleet(dir, 1);
     for (size_t i = 0; i < samples.size(); ++i) {
-      auto artifacts = fleet->Attach(TenantOf(*samples[i]));
-      ASSERT_NE(artifacts, nullptr);
+      auto retriever = fleet->Attach(TenantOf(*samples[i]));
+      ASSERT_NE(retriever, nullptr);
       ServeOptions options;
-      options.value_retriever = artifacts->retriever.get();
+      options.value_retriever = retriever.get();
       EXPECT_EQ(pipeline_->PredictGuarded(*bench_, *samples[i], options),
                 reference[i])
           << "sample " << i << " diverged after evict-then-reattach";
@@ -375,10 +384,9 @@ TEST_F(FleetTest, EvictThenReattachPredictsByteIdenticallyAt1And8Threads) {
       auto promise = std::make_shared<std::promise<void>>();
       done.push_back(promise->get_future());
       pool.Submit([&, i, promise] {
-        auto artifacts = fleet->Attach(TenantOf(*samples[i]));
+        auto retriever = fleet->Attach(TenantOf(*samples[i]));
         ServeOptions options;
-        options.value_retriever =
-            artifacts == nullptr ? nullptr : artifacts->retriever.get();
+        options.value_retriever = retriever.get();
         threaded[i] =
             pipeline_->PredictGuarded(*bench_, *samples[i], options);
         promise->set_value();
@@ -389,6 +397,54 @@ TEST_F(FleetTest, EvictThenReattachPredictsByteIdenticallyAt1And8Threads) {
       EXPECT_EQ(threaded[i], reference[i]) << "sample " << i;
     }
   }
+}
+
+// The peak gauge is a high-water mark since the last registry reset, not
+// a copy of the fleet's lifetime peak: a campaign that resets the
+// registry and then re-attaches (no new lifetime peak) must still export
+// a nonzero peak.
+TEST_F(FleetTest, ResidentBytesPeakGaugeRestartsAfterRegistryReset) {
+  auto fleet = MakeFleet("", 0);
+  ASSERT_NE(fleet->Attach(0), nullptr);
+  const size_t lifetime_peak = fleet->PeakResidentBytes();
+  ASSERT_GT(lifetime_peak, 0u);
+
+  MetricsRegistry::Global().Reset();
+  fleet->EvictAll();
+  ASSERT_NE(fleet->Attach(0), nullptr);
+  MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(snapshot.gauges.at("fleet.resident_bytes_peak"),
+            static_cast<int64_t>(fleet->ResidentBytes()));
+  EXPECT_GT(snapshot.gauges.at("fleet.resident_bytes_peak"), 0);
+  EXPECT_EQ(fleet->PeakResidentBytes(), lifetime_peak);
+}
+
+// fleet.attach == fleet.attach.build + fleet.attach.snapshot is declared
+// with the counters, holds on a real fleet snapshot, and a one-count bug
+// in fleet.attach.build breaks exactly that identity.
+TEST_F(FleetTest, AttachAccountingInvariantCatchesOneCountBug) {
+  std::string dir = TempDirFor("fleet_invariant");
+  auto fleet = MakeFleet(dir, 1);
+  fleet->WarmAll();
+  for (int t : {0, 1, 0, 0, 1}) ASSERT_NE(fleet->Attach(t), nullptr);
+  MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  ASSERT_GT(CounterDelta(snapshot, "fleet.attach.build"), 0u);
+  ASSERT_GT(CounterDelta(snapshot, "fleet.attach.snapshot"), 0u);
+
+  const std::string identity =
+      "fleet.attach == fleet.attach.build + fleet.attach.snapshot";
+  auto broken = [](const MetricsSnapshot& s) {
+    std::vector<std::string> names;
+    for (const auto& check : s.CheckInvariants()) {
+      if (!check.holds) names.push_back(check.invariant);
+    }
+    return names;
+  };
+  EXPECT_EQ(MetricsRegistry::Global().Invariants().count(identity), 1u);
+  EXPECT_TRUE(broken(snapshot).empty());
+
+  snapshot.counters["fleet.attach.build"] += 1;
+  EXPECT_EQ(broken(snapshot), std::vector<std::string>{identity});
 }
 
 TEST_F(FleetTest, AdmissionSpecsAndNamesLineUpWithTenantIds) {

@@ -52,6 +52,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "campaign.h"
 #include "common/metrics.h"
 #include "core/model_zoo.h"
@@ -260,8 +262,11 @@ int RunMtSmoke(const Flags& flags) {
   static const char* kNames[6] = {"hot",   "norm1", "norm2",
                                   "cold1", "cold2", "adv"};
 
+  // Per-process, so concurrent campaigns never delete each other's
+  // snapshots mid-run.
   std::filesystem::path snapshot_dir =
-      std::filesystem::temp_directory_path() / "codes_load_mt_fleet";
+      std::filesystem::temp_directory_path() /
+      ("codes_load_mt_fleet." + std::to_string(::getpid()));
   std::error_code ec;
   std::filesystem::remove_all(snapshot_dir, ec);
 
@@ -275,18 +280,12 @@ int RunMtSmoke(const Flags& flags) {
       codes::fleet::FleetManager::TenantDesc desc;
       desc.name = kNames[t];
       desc.db = &bench.databases[static_cast<size_t>(dev_dbs[t])];
-      desc.classifier_source = &bench;
-      for (int j = 0; j < 8; ++j) {
-        desc.demo_pool.push_back(
-            bench.train[static_cast<size_t>(t * 8 + j) %
-                        bench.train.size()]);
-      }
       fleet->AddTenant(std::move(desc));
     }
     return fleet;
   };
 
-  // Probe pass: build + persist every bundle once with no budget, to
+  // Probe pass: build + persist every index once with no budget, to
   // price the fleet. The real fleet's budget is 55% of the total, so a
   // full working set cannot stay resident and evictions must happen.
   size_t total_bytes = 0;
@@ -317,11 +316,7 @@ int RunMtSmoke(const Flags& flags) {
   mt.front_end.tenant_names = fleet->TenantNames();
   mt.burst_period_us = 500'000;
   mt.burst_duty = 0.2;
-  mt.tenant_attach =
-      [&fleet](int tenant) -> std::shared_ptr<const codes::ValueRetriever> {
-    auto artifacts = fleet->Attach(tenant);
-    return artifacts == nullptr ? nullptr : artifacts->retriever;
-  };
+  mt.tenant_attach = [&fleet](int tenant) { return fleet->Attach(tenant); };
 
   // Shares are offered qps per tenant; offered_qps is their (burst-
   // averaged) sum, so each tenant's absolute arrival rate is its share
