@@ -3,15 +3,23 @@
 
 // Shared helpers for the table-reproduction harnesses. Each bench binary
 // regenerates one table/figure of the paper and prints it in a fixed-width
-// layout; EXPERIMENTS.md records the paper-vs-measured comparison.
+// layout; EXPERIMENTS.md records the paper-vs-measured comparison. The
+// timing kit (AbTimer, ServeRequests, WarmRetrievers) is the one way the
+// benches time a before/after pair, issue a request stream and warm the
+// per-database caches.
 
+#include <algorithm>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/string_util.h"
+#include "common/timer.h"
+#include "core/pipeline.h"
+#include "dataset/sample.h"
 
 namespace codes::bench {
 
@@ -70,6 +78,73 @@ inline std::string Pct2(double value) { return FormatDouble(value, 2); }
 
 inline void Banner(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
+}
+
+/// Fastest wall-clock seconds of each side of one A/B comparison.
+struct AbTiming {
+  double a = 0.0;
+  double b = 0.0;
+};
+
+/// The one before/after timing procedure of the benches (DESIGN.md
+/// section 13). Each side runs once untimed to warm caches; then kReps
+/// timed repetitions alternate which side goes first, so slow drift
+/// cannot systematically favor one side, and the fastest run of each side
+/// is kept — ambient noise only ever adds time.
+struct AbTimer {
+  static constexpr int kReps = 5;
+
+  template <typename RunA, typename RunB>
+  static AbTiming Run(RunA&& run_a, RunB&& run_b) {
+    run_a();
+    run_b();
+    AbTiming best{Seconds(run_a), Seconds(run_b)};
+    for (int rep = 1; rep < kReps; ++rep) {
+      if (rep % 2 == 1) {
+        best.b = std::min(best.b, Seconds(run_b));
+        best.a = std::min(best.a, Seconds(run_a));
+      } else {
+        best.a = std::min(best.a, Seconds(run_a));
+        best.b = std::min(best.b, Seconds(run_b));
+      }
+    }
+    return best;
+  }
+
+ private:
+  template <typename Run>
+  static double Seconds(Run& run) {
+    Timer timer;
+    run();
+    return timer.ElapsedSeconds();
+  }
+};
+
+/// Issues `queries` requests, cycling through the dev set in order:
+/// `serve(sample)` once per request.
+template <typename Serve>
+void ServeRequests(const Text2SqlBenchmark& bench, int queries,
+                   Serve&& serve) {
+  int n = 0;
+  while (n < queries) {
+    for (const auto& sample : bench.dev) {
+      if (n >= queries) break;
+      serve(sample);
+      ++n;
+    }
+  }
+}
+
+/// Builds the cached value retriever of every distinct dev database once,
+/// so timed sections measure inference, not index construction.
+inline void WarmRetrievers(const CodesPipeline& pipeline,
+                           const Text2SqlBenchmark& bench) {
+  std::set<int> warmed;
+  for (const auto& sample : bench.dev) {
+    if (warmed.insert(sample.db_index).second) {
+      (void)pipeline.RetrieverFor(bench.DbOf(sample));
+    }
+  }
 }
 
 }  // namespace codes::bench

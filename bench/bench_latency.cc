@@ -1,33 +1,29 @@
 // Reproduces Section 9.7 (latency/deployment) and prints the Table 1
 // architecture sheet: per-sample inference latency by model scale, plus
 // the capacity profiles standing in for the transformer hyper-parameters.
-// A throughput section then drives the same pipeline through the parallel
-// evaluation driver at 1/2/4/8 threads, reporting queries/sec and checking
-// that EX is identical at every thread count.
+// The 7B pipeline then prices each serving layer (guard, instrumentation,
+// admission, hardening) against the path without it; every before/after
+// pair here is timed by bench::AbTimer. The 1/2/4/8-thread throughput
+// sweep lives in bench_throughput.
 //
 // Paper shape to reproduce: latency grows with scale but stays far below
 // API-based systems (DIN-SQL + GPT-4 at ~60 s/sample); the ratio between
-// 15B and 1B is modest (~2.5x). Throughput should scale near-linearly up
-// to the hardware thread count (prediction is CPU-bound and share-nothing
-// after the retriever cache warms).
+// 15B and 1B is modest (~2.5x).
 
 #include <algorithm>
 #include <cstdio>
 
 #include <random>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "bench/perf_report.h"
 #include "common/failpoint.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/model_zoo.h"
 #include "core/pipeline.h"
 #include "dataset/benchmark_builder.h"
-#include "eval/parallel_eval.h"
 #include "index/bm25_index.h"
 #include "index/bm25_reference.h"
 #include "lm/ngram_lm.h"
@@ -58,10 +54,18 @@ void HotPathSection(bench::PerfReport* report, bool quick) {
   table.Row({"hot path", "before us/op", "after us/op", "speedup"});
   table.Separator();
 
-  auto best_of = [](auto&& fn, int reps) {
-    double best = fn();
-    for (int r = 1; r < reps; ++r) best = std::min(best, fn());
-    return best;
+  // Times `ops` operations of the reference (before) and the rewrite
+  // (after), prints the row and records the three hotpath_<key>_* keys.
+  auto race = [&](const char* label, const std::string& key, size_t ops,
+                  auto&& run_ref, auto&& run_new) {
+    bench::AbTiming timing = bench::AbTimer::Run(run_ref, run_new);
+    double before_us = 1e6 * timing.a / ops;
+    double after_us = 1e6 * timing.b / ops;
+    table.Row({label, FormatDouble(before_us, 3), FormatDouble(after_us, 3),
+               FormatDouble(before_us / after_us, 2) + "x"});
+    report->Add("hotpath_" + key + "_before_us", before_us);
+    report->Add("hotpath_" + key + "_after_us", after_us);
+    report->Add("hotpath_" + key + "_speedup_x", before_us / after_us);
   };
 
   // --- Longest common substring (value retriever fine-ranking) ---------
@@ -79,29 +83,19 @@ void HotPathSection(bench::PerfReport* report, bool quick) {
       pairs.emplace_back(std::move(a), std::move(b));
     }
     long long sink = 0;
-    auto run_ref = [&] {
-      Timer timer;
-      for (const auto& [a, b] : pairs) {
-        sink += LongestCommonSubstringLengthReferenceDp(a, b);
-      }
-      return timer.ElapsedSeconds();
-    };
-    auto run_new = [&] {
-      Timer timer;
-      for (const auto& [a, b] : pairs) {
-        sink += LongestCommonSubstringLength(a, b);
-      }
-      return timer.ElapsedSeconds();
-    };
-    double before_us = 1e6 * best_of(run_ref, 3) / pairs.size();
-    double after_us = 1e6 * best_of(run_new, 3) / pairs.size();
+    race(
+        "lcs (string pair)", "lcs", pairs.size(),
+        [&] {
+          for (const auto& [a, b] : pairs) {
+            sink += LongestCommonSubstringLengthReferenceDp(a, b);
+          }
+        },
+        [&] {
+          for (const auto& [a, b] : pairs) {
+            sink += LongestCommonSubstringLength(a, b);
+          }
+        });
     if (sink == 42) std::printf(" ");  // keep the loops observable
-    table.Row({"lcs (string pair)", FormatDouble(before_us, 3),
-               FormatDouble(after_us, 3),
-               FormatDouble(before_us / after_us, 2) + "x"});
-    report->Add("hotpath_lcs_before_us", before_us);
-    report->Add("hotpath_lcs_after_us", after_us);
-    report->Add("hotpath_lcs_speedup_x", before_us / after_us);
   }
 
   // --- BM25 query (value retriever coarse stage) -----------------------
@@ -137,25 +131,15 @@ void HotPathSection(bench::PerfReport* report, bool quick) {
       queries.push_back(std::move(query));
     }
     size_t sink = 0;
-    auto run_ref = [&] {
-      Timer timer;
-      for (const auto& q : queries) sink += ref.Query(q, 10).size();
-      return timer.ElapsedSeconds();
-    };
-    auto run_new = [&] {
-      Timer timer;
-      for (const auto& q : queries) sink += fast.Query(q, 10).size();
-      return timer.ElapsedSeconds();
-    };
-    double before_us = 1e6 * best_of(run_ref, 3) / queries.size();
-    double after_us = 1e6 * best_of(run_new, 3) / queries.size();
+    race(
+        "bm25 query (top-10)", "bm25", queries.size(),
+        [&] {
+          for (const auto& q : queries) sink += ref.Query(q, 10).size();
+        },
+        [&] {
+          for (const auto& q : queries) sink += fast.Query(q, 10).size();
+        });
     if (sink == 42) std::printf(" ");
-    table.Row({"bm25 query (top-10)", FormatDouble(before_us, 3),
-               FormatDouble(after_us, 3),
-               FormatDouble(before_us / after_us, 2) + "x"});
-    report->Add("hotpath_bm25_before_us", before_us);
-    report->Add("hotpath_bm25_after_us", after_us);
-    report->Add("hotpath_bm25_speedup_x", before_us / after_us);
   }
 
   // --- N-gram scoring (generation-time candidate ranking) --------------
@@ -179,25 +163,15 @@ void HotPathSection(bench::PerfReport* report, bool quick) {
     fast.Train(corpus);
     ref.Train(corpus);
     double sink = 0;
-    auto run_ref = [&] {
-      Timer timer;
-      for (const auto& doc : corpus) sink += ref.AvgLogProb(doc);
-      return timer.ElapsedSeconds();
-    };
-    auto run_new = [&] {
-      Timer timer;
-      for (const auto& doc : corpus) sink += fast.AvgLogProb(doc);
-      return timer.ElapsedSeconds();
-    };
-    double before_us = 1e6 * best_of(run_ref, 3) / corpus.size();
-    double after_us = 1e6 * best_of(run_new, 3) / corpus.size();
+    race(
+        "ngram AvgLogProb (doc)", "ngram", corpus.size(),
+        [&] {
+          for (const auto& doc : corpus) sink += ref.AvgLogProb(doc);
+        },
+        [&] {
+          for (const auto& doc : corpus) sink += fast.AvgLogProb(doc);
+        });
     if (sink == 42.0) std::printf(" ");
-    table.Row({"ngram AvgLogProb (doc)", FormatDouble(before_us, 3),
-               FormatDouble(after_us, 3),
-               FormatDouble(before_us / after_us, 2) + "x"});
-    report->Add("hotpath_ngram_before_us", before_us);
-    report->Add("hotpath_ngram_after_us", after_us);
-    report->Add("hotpath_ngram_speedup_x", before_us / after_us);
   }
 
   std::printf(
@@ -257,7 +231,6 @@ void StorageAccessPathSection(bench::PerfReport* report, bool quick) {
   size_t result_rows = 0;
   auto run_paths = [&](bool indexed) {
     sdb.set_index_scans_enabled(indexed);
-    Timer timer;
     for (int r = 0; r < reps; ++r) {
       for (const auto& stmt : stmts) {
         auto result = exec.Execute(*stmt);
@@ -265,28 +238,20 @@ void StorageAccessPathSection(bench::PerfReport* report, bool quick) {
         result_rows += result->NumRows();
       }
     }
-    return timer.ElapsedSeconds();
-  };
-  auto best_of = [](auto&& fn, int n) {
-    double best = fn();
-    for (int r = 1; r < n; ++r) best = std::min(best, fn());
-    return best;
   };
 
-  // Confirm the planner actually takes the index path when allowed — a
-  // silent fallback to seq scan would turn this section into noise.
   MetricsRegistry::SetEnabled(true);
   MetricsRegistry::Global().Reset();
-  (void)run_paths(true);
+  bench::AbTiming timing = bench::AbTimer::Run([&] { run_paths(false); },
+                                               [&] { run_paths(true); });
+  // Confirm the planner actually took the index path when allowed — a
+  // silent fallback to seq scan would turn this section into noise.
   MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
   CODES_CHECK(snap.counters["storage.path.index_scan"] > 0);
 
-  const int timing_reps = 3;
-  double seq_seconds = best_of([&] { return run_paths(false); }, timing_reps);
-  double idx_seconds = best_of([&] { return run_paths(true); }, timing_reps);
   const double per_query = static_cast<double>(reps) * stmts.size();
-  double seq_us = 1e6 * seq_seconds / per_query;
-  double idx_us = 1e6 * idx_seconds / per_query;
+  double seq_us = 1e6 * timing.a / per_query;
+  double idx_us = 1e6 * timing.b / per_query;
   if (result_rows == 0) std::printf(" ");  // keep the loops observable
 
   bench::TablePrinter table({26, 14, 14});
@@ -404,45 +369,55 @@ void DurabilitySection(bench::PerfReport* report, bool quick) {
   report->AddNoisy("durability_recovery_replay_us", recover_us);
 }
 
-/// Queries/sec of the parallel evaluator at several thread counts; EX must
-/// not move. `samples` bounds wall-clock on the serial leg.
-void ThroughputSection(const Text2SqlBenchmark& bench,
-                       const CodesPipeline& pipeline, int samples) {
-  bench::Banner(
-      "Throughput: parallel batched evaluation (7B SFT, queries/sec)");
-  std::printf("hardware threads: %d\n",
-              ThreadPool::ResolveThreadCount(0));
+/// One serving layer's overhead: `queries` requests through the `base`
+/// path and through the `layered` path (per-request callables), timed by
+/// the AbTimer. Prints the section's two-row table and budget line and
+/// records `<layer>_overhead_pct` — a difference of two noisy wall-clock
+/// reads, so it is reported in the noisy list, never gated. Returns the
+/// timing so a section can derive further keys from it.
+template <typename Base, typename Layered>
+bench::AbTiming OverheadSection(const Text2SqlBenchmark& bench, int queries,
+                                const std::string& layer,
+                                const char* base_label,
+                                const char* layered_label, Base&& base,
+                                Layered&& layered,
+                                bench::PerfReport* report) {
+  bench::AbTiming timing = bench::AbTimer::Run(
+      [&] { bench::ServeRequests(bench, queries, base); },
+      [&] { bench::ServeRequests(bench, queries, layered); });
+  double overhead_pct = 100.0 * (timing.b - timing.a) / timing.a;
 
-  // Warm the per-database retriever cache once so every thread count
-  // measures inference, not index construction.
-  std::set<int> warmed;
-  for (const auto& sample : bench.dev) {
-    if (warmed.insert(sample.db_index).second) {
-      (void)pipeline.BuildPrompt(bench, sample);
-    }
-  }
-
-  bench::TablePrinter table({10, 12, 12, 10, 8});
-  table.Row({"threads", "seconds", "queries/s", "speedup", "EX%"});
+  bench::TablePrinter table({24, 12, 14});
+  table.Row({"path", "seconds", "ms / sample"});
   table.Separator();
-  double serial_qps = 0.0;
-  for (int threads : {1, 2, 4, 8}) {
-    EvalOptions options;
-    options.num_threads = threads;
-    options.max_samples = samples;
-    Timer timer;
-    EvalResult result =
-        ParallelEvaluateDevSet(bench, pipeline.PredictorFor(bench), options);
-    double seconds = timer.ElapsedSeconds();
-    double qps = result.metrics.n / seconds;
-    if (threads == 1) serial_qps = qps;
-    table.Row({std::to_string(threads), FormatDouble(seconds, 2),
-               FormatDouble(qps, 1), FormatDouble(qps / serial_qps, 2) + "x",
-               bench::Pct(result.metrics.ex)});
-  }
-  std::printf(
-      "\nEX%% must be identical on every row: the driver shards "
-      "deterministically and merges in sample order.\n");
+  table.Row({base_label, FormatDouble(timing.a, 3),
+             FormatDouble(1000.0 * timing.a / queries, 3)});
+  table.Row({layered_label, FormatDouble(timing.b, 3),
+             FormatDouble(1000.0 * timing.b / queries, 3)});
+  std::printf("\n%s overhead: %+.2f%% (budget: <= 2%%)\n", layer.c_str(),
+              overhead_pct);
+  report->AddNoisy(layer + "_overhead_pct", overhead_pct);
+  return timing;
+}
+
+/// Limits generous enough that every guard check runs but none trips.
+ExecLimits GenerousLimits() {
+  ExecLimits limits;
+  limits.max_rows = 50'000'000;
+  limits.max_bytes = static_cast<size_t>(1) << 40;
+  limits.max_depth = 64;
+  return limits;
+}
+
+/// A front end with every protection active but nothing tripping: no rate
+/// limit, a near-empty queue so brownout stays at level 0, and a breaker
+/// threshold the failure ratio (at most 1.0) never reaches.
+serve::FrontEndOptions QuietFrontEndOptions() {
+  serve::FrontEndOptions fe;
+  fe.limits = GenerousLimits();
+  fe.admission.queue_capacity = 4096;
+  fe.breaker.failure_threshold = 1.1;
+  return fe;
 }
 
 /// Unguarded Predict vs PredictGuarded with an *active* guard (generous
@@ -454,58 +429,20 @@ void GuardOverheadSection(const Text2SqlBenchmark& bench,
   bench::Banner("Guard overhead: Predict vs guarded serving (7B SFT)");
 
   ServeOptions guarded;
-  guarded.limits.max_rows = 50'000'000;
-  guarded.limits.max_bytes = static_cast<size_t>(1) << 40;
-  guarded.limits.max_depth = 64;
+  guarded.limits = GenerousLimits();
   CancelToken token;  // never cancelled; forces the token check too
   guarded.cancel = &token;
 
-  auto run_free = [&]() {
-    Timer timer;
-    int n = 0;
-    while (n < queries) {
-      for (const auto& sample : bench.dev) {
-        if (n >= queries) break;
+  bench::AbTiming timing = OverheadSection(
+      bench, queries, "guard", "Predict (no guard)", "PredictGuarded",
+      [&](const Text2SqlSample& sample) {
         (void)pipeline.Predict(bench, sample);
-        ++n;
-      }
-    }
-    return timer.ElapsedSeconds();
-  };
-  auto run_guarded = [&]() {
-    Timer timer;
-    int n = 0;
-    while (n < queries) {
-      for (const auto& sample : bench.dev) {
-        if (n >= queries) break;
+      },
+      [&](const Text2SqlSample& sample) {
         (void)pipeline.PredictGuarded(bench, sample, guarded);
-        ++n;
-      }
-    }
-    return timer.ElapsedSeconds();
-  };
-
-  // Interleave three repetitions of each and keep the fastest, so ambient
-  // machine noise does not masquerade as guard cost.
-  double best_free = run_free();
-  double best_guarded = run_guarded();
-  for (int rep = 1; rep < 3; ++rep) {
-    best_free = std::min(best_free, run_free());
-    best_guarded = std::min(best_guarded, run_guarded());
-  }
-  double overhead_pct = 100.0 * (best_guarded - best_free) / best_free;
-
-  bench::TablePrinter table({22, 12, 14});
-  table.Row({"path", "seconds", "ms / sample"});
-  table.Separator();
-  table.Row({"Predict (no guard)", FormatDouble(best_free, 3),
-             FormatDouble(1000.0 * best_free / queries, 3)});
-  table.Row({"PredictGuarded", FormatDouble(best_guarded, 3),
-             FormatDouble(1000.0 * best_guarded / queries, 3)});
-  std::printf("\nguard overhead: %+.2f%% (budget: <= 2%%)\n", overhead_pct);
-  report->Add("predict_us_per_sample", 1e6 * best_free / queries);
-  // A difference of two noisy wall-clock reads: report, never gate.
-  report->AddNoisy("guard_overhead_pct", overhead_pct);
+      },
+      report);
+  report->Add("predict_us_per_sample", 1e6 * timing.a / queries);
 }
 
 /// Where a guarded request spends its time: runs `queries` predictions
@@ -523,14 +460,9 @@ void StageAttributionSection(const Text2SqlBenchmark& bench,
 
   MetricsRegistry::SetEnabled(true);
   MetricsRegistry::Global().Reset();
-  int n = 0;
-  while (n < queries) {
-    for (const auto& sample : bench.dev) {
-      if (n >= queries) break;
-      (void)pipeline.PredictGuarded(bench, sample, options);
-      ++n;
-    }
-  }
+  bench::ServeRequests(bench, queries, [&](const Text2SqlSample& sample) {
+    (void)pipeline.PredictGuarded(bench, sample, options);
+  });
   MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
 
   auto total_it = snapshot.histograms.find("span.pipeline.predict");
@@ -575,8 +507,8 @@ void StageAttributionSection(const Text2SqlBenchmark& bench,
 }
 
 /// The observability layer's own cost: the same prediction loop with the
-/// metrics switch off (spans skip clock reads and histogram writes) vs on,
-/// interleaved best-of-3 like the guard section. Budget: <= 2%.
+/// metrics switch off (spans skip clock reads and histogram writes) vs on.
+/// Budget: <= 2%.
 void InstrumentationOverheadSection(const Text2SqlBenchmark& bench,
                                     const CodesPipeline& pipeline,
                                     int queries, bench::PerfReport* report) {
@@ -585,51 +517,17 @@ void InstrumentationOverheadSection(const Text2SqlBenchmark& bench,
   ServeOptions options;
   options.limits.max_rows = 20000;
 
-  auto run = [&](bool enabled) {
-    MetricsRegistry::SetEnabled(enabled);
-    Timer timer;
-    int n = 0;
-    while (n < queries) {
-      for (const auto& sample : bench.dev) {
-        if (n >= queries) break;
-        (void)pipeline.PredictGuarded(bench, sample, options);
-        ++n;
-      }
-    }
-    return timer.ElapsedSeconds();
+  // Both sides pay the same relaxed store per request to set the switch.
+  auto predict_with_metrics = [&](bool enabled) {
+    return [&, enabled](const Text2SqlSample& sample) {
+      MetricsRegistry::SetEnabled(enabled);
+      (void)pipeline.PredictGuarded(bench, sample, options);
+    };
   };
-
-  // The true gated cost (a handful of clock reads + histogram writes per
-  // request) is far below ambient run-to-run noise, so the measurement
-  // needs more care than the guard section: warm both paths once, then
-  // interleave five repetitions with alternating order (so thermal drift
-  // cannot systematically favor one path) and keep the fastest of each.
-  (void)run(false);
-  (void)run(true);
-  double best_off = run(false);
-  double best_on = run(true);
-  for (int rep = 1; rep < 5; ++rep) {
-    if (rep % 2 == 1) {
-      best_on = std::min(best_on, run(true));
-      best_off = std::min(best_off, run(false));
-    } else {
-      best_off = std::min(best_off, run(false));
-      best_on = std::min(best_on, run(true));
-    }
-  }
+  OverheadSection(bench, queries, "instrumentation", "metrics disabled",
+                  "metrics enabled", predict_with_metrics(false),
+                  predict_with_metrics(true), report);
   MetricsRegistry::SetEnabled(true);
-  double overhead_pct = 100.0 * (best_on - best_off) / best_off;
-
-  bench::TablePrinter table({24, 12, 14});
-  table.Row({"path", "seconds", "ms / sample"});
-  table.Separator();
-  table.Row({"metrics disabled", FormatDouble(best_off, 3),
-             FormatDouble(1000.0 * best_off / queries, 3)});
-  table.Row({"metrics enabled", FormatDouble(best_on, 3),
-             FormatDouble(1000.0 * best_on / queries, 3)});
-  std::printf("\ninstrumentation overhead: %+.2f%% (budget: <= 2%%)\n",
-              overhead_pct);
-  report->AddNoisy("instrumentation_overhead_pct", overhead_pct);
 }
 
 /// Per-request latency distribution with every failpoint armed at 1%:
@@ -655,16 +553,11 @@ void ChaosTailLatencySection(const Text2SqlBenchmark& bench,
     }
     std::vector<double> ms;
     ms.reserve(queries);
-    int n = 0;
-    while (n < queries) {
-      for (const auto& sample : bench.dev) {
-        if (n >= queries) break;
-        Timer timer;
-        (void)pipeline.PredictGuarded(bench, sample, options);
-        ms.push_back(1000.0 * timer.ElapsedSeconds());
-        ++n;
-      }
-    }
+    bench::ServeRequests(bench, queries, [&](const Text2SqlSample& sample) {
+      Timer timer;
+      (void)pipeline.PredictGuarded(bench, sample, options);
+      ms.push_back(1000.0 * timer.ElapsedSeconds());
+    });
     std::sort(ms.begin(), ms.end());
     table.Row({inject ? "*=prob:0.01" : "none",
                FormatDouble(percentile(ms, 0.50), 2),
@@ -748,9 +641,8 @@ void OverloadGoodputSection(const Text2SqlBenchmark& bench,
 }
 
 /// The serving front door's own cost: PredictGuarded called directly vs
-/// through ServeFrontEnd::Serve with every protection active but nothing
-/// tripping (no rate limit, near-empty queue so brownout stays at level 0,
-/// breaker threshold set unreachable). The difference is pure admission
+/// through a quiet ServeFrontEnd::Serve (every protection active, nothing
+/// tripping). The difference is pure admission
 /// bookkeeping — token bucket, breaker consults, brownout update, serve.*
 /// metrics — and must stay within the same <= 2% budget as the guards.
 void AdmissionOverheadSection(const Text2SqlBenchmark& bench,
@@ -758,63 +650,20 @@ void AdmissionOverheadSection(const Text2SqlBenchmark& bench,
                               bench::PerfReport* report) {
   bench::Banner("Admission overhead: PredictGuarded vs front-end Serve");
 
-  serve::FrontEndOptions fe;
-  fe.limits.max_rows = 50'000'000;
-  fe.limits.max_bytes = static_cast<size_t>(1) << 40;
-  fe.limits.max_depth = 64;
-  fe.admission.queue_capacity = 4096;  // fullness ~0: brownout never moves
-  fe.breaker.failure_threshold = 1.1;  // ratio tops out at 1.0: never trips
-  serve::ServeFrontEnd front_end(&pipeline, &bench, fe);
-
+  serve::ServeFrontEnd front_end(&pipeline, &bench, QuietFrontEndOptions());
   ServeOptions direct;
-  direct.limits = fe.limits;
+  direct.limits = GenerousLimits();
 
-  auto run_direct = [&]() {
-    Timer timer;
-    int n = 0;
-    while (n < queries) {
-      for (const auto& sample : bench.dev) {
-        if (n >= queries) break;
+  OverheadSection(
+      bench, queries, "admission", "PredictGuarded", "ServeFrontEnd::Serve",
+      [&](const Text2SqlSample& sample) {
         (void)pipeline.PredictGuarded(bench, sample, direct);
-        ++n;
-      }
-    }
-    return timer.ElapsedSeconds();
-  };
-  auto run_served = [&]() {
-    Timer timer;
-    int n = 0;
-    while (n < queries) {
-      for (const auto& sample : bench.dev) {
-        if (n >= queries) break;
+      },
+      [&](const Text2SqlSample& sample) {
         std::string sql;
         (void)front_end.Serve(sample, &sql);
-        ++n;
-      }
-    }
-    return timer.ElapsedSeconds();
-  };
-
-  // Interleaved best-of-3, exactly like the guard section: ambient noise
-  // must not masquerade as front-end cost.
-  double best_direct = run_direct();
-  double best_served = run_served();
-  for (int rep = 1; rep < 3; ++rep) {
-    best_direct = std::min(best_direct, run_direct());
-    best_served = std::min(best_served, run_served());
-  }
-  double overhead_pct = 100.0 * (best_served - best_direct) / best_direct;
-
-  bench::TablePrinter table({24, 12, 14});
-  table.Row({"path", "seconds", "ms / sample"});
-  table.Separator();
-  table.Row({"PredictGuarded", FormatDouble(best_direct, 3),
-             FormatDouble(1000.0 * best_direct / queries, 3)});
-  table.Row({"ServeFrontEnd::Serve", FormatDouble(best_served, 3),
-             FormatDouble(1000.0 * best_served / queries, 3)});
-  std::printf("\nadmission overhead: %+.2f%% (budget: <= 2%%)\n",
-              overhead_pct);
-  report->AddNoisy("admission_overhead_pct", overhead_pct);
+      },
+      report);
 }
 
 /// What the request-hardening front door costs clean traffic: the same
@@ -827,51 +676,21 @@ void HardeningOverheadSection(const Text2SqlBenchmark& bench,
                               bench::PerfReport* report) {
   bench::Banner("Hardening overhead: front-end Serve, harden off vs on");
 
-  serve::FrontEndOptions fe;
-  fe.limits.max_rows = 50'000'000;
-  fe.limits.max_bytes = static_cast<size_t>(1) << 40;
-  fe.limits.max_depth = 64;
-  fe.admission.queue_capacity = 4096;  // fullness ~0: brownout never moves
-  fe.breaker.failure_threshold = 1.1;  // ratio tops out at 1.0: never trips
+  serve::FrontEndOptions fe = QuietFrontEndOptions();
   fe.harden.enabled = false;
   serve::ServeFrontEnd unhardened(&pipeline, &bench, fe);
   fe.harden.enabled = true;
   serve::ServeFrontEnd hardened(&pipeline, &bench, fe);
 
-  auto run = [&](serve::ServeFrontEnd& front_end) {
-    Timer timer;
-    int n = 0;
-    while (n < queries) {
-      for (const auto& sample : bench.dev) {
-        if (n >= queries) break;
-        std::string sql;
-        (void)front_end.Serve(sample, &sql);
-        ++n;
-      }
-    }
-    return timer.ElapsedSeconds();
+  auto serve_through = [](serve::ServeFrontEnd& front_end) {
+    return [&front_end](const Text2SqlSample& sample) {
+      std::string sql;
+      (void)front_end.Serve(sample, &sql);
+    };
   };
-
-  // Interleaved best-of-3, exactly like the admission section.
-  double best_off = run(unhardened);
-  double best_on = run(hardened);
-  for (int rep = 1; rep < 3; ++rep) {
-    best_off = std::min(best_off, run(unhardened));
-    best_on = std::min(best_on, run(hardened));
-  }
-  double overhead_pct = 100.0 * (best_on - best_off) / best_off;
-
-  bench::TablePrinter table({24, 12, 14});
-  table.Row({"path", "seconds", "ms / sample"});
-  table.Separator();
-  table.Row({"Serve, harden off", FormatDouble(best_off, 3),
-             FormatDouble(1000.0 * best_off / queries, 3)});
-  table.Row({"Serve, harden on", FormatDouble(best_on, 3),
-             FormatDouble(1000.0 * best_on / queries, 3)});
-  std::printf("\nhardening overhead on clean traffic: %+.2f%% "
-              "(budget: <= 2%%)\n",
-              overhead_pct);
-  report->AddNoisy("hardening_overhead_pct", overhead_pct);
+  OverheadSection(bench, queries, "hardening", "Serve, harden off",
+                  "Serve, harden on", serve_through(unhardened),
+                  serve_through(hardened), report);
 }
 
 void Run(bench::PerfReport* report, bool quick) {
@@ -913,21 +732,16 @@ void Run(bench::PerfReport* report, bool quick) {
     CodesPipeline pipeline(config, zoo.CodesFor(size));
     pipeline.TrainClassifier(spider);
     pipeline.FineTune(spider);
-    // Warm the per-database retriever caches so we time inference only.
-    for (const auto& sample : spider.dev) {
-      pipeline.BuildPrompt(spider, sample);
-      break;
-    }
+    bench::WarmRetrievers(pipeline, spider);
+    constexpr int kSamples = 100;
     Timer timer;
-    int n = 0;
-    for (const auto& sample : spider.dev) {
+    bench::ServeRequests(spider, kSamples, [&](const Text2SqlSample& sample) {
       (void)pipeline.Predict(spider, sample);
-      ++n;
-      if (n >= 100) break;
-    }
+    });
     double seconds = timer.ElapsedSeconds();
-    table.Row({ModelSizeName(size), FormatDouble(1000.0 * seconds / n, 2),
-               FormatDouble(n / seconds, 1)});
+    table.Row({ModelSizeName(size),
+               FormatDouble(1000.0 * seconds / kSamples, 2),
+               FormatDouble(kSamples / seconds, 1)});
   }
   std::printf(
       "\npaper reference: 0.6 / 0.9 / 1.1 / 1.5 seconds per sample on an "
@@ -939,8 +753,8 @@ void Run(bench::PerfReport* report, bool quick) {
     CodesPipeline pipeline(config, zoo.CodesFor(config.size));
     pipeline.TrainClassifier(spider);
     pipeline.FineTune(spider);
+    bench::WarmRetrievers(pipeline, spider);
     const int q = quick ? 80 : 300;
-    ThroughputSection(spider, pipeline, /*samples=*/quick ? 80 : 200);
     GuardOverheadSection(spider, pipeline, q, report);
     StageAttributionSection(spider, pipeline, q, report);
     InstrumentationOverheadSection(spider, pipeline, q, report);

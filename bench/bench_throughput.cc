@@ -1,16 +1,15 @@
-// Thin throughput harness for the CI perf gate: queries/sec of the
-// parallel batched evaluator (7B SFT) at 1 and 8 threads, with the EX
-// metric asserted identical across thread counts, written to
-// BENCH_throughput.json via --json-out. bench_latency prints the full
-// 1/2/4/8 paper table; this binary exists so the perf job can harvest a
-// machine-readable snapshot without paying for the whole latency sheet.
+// Throughput harness for the CI perf gate: queries/sec of the parallel
+// batched evaluator (7B SFT) at 1/2/4/8 threads, with the EX metric
+// asserted identical on every row, written to BENCH_throughput.json via
+// --json-out. Throughput should scale near-linearly up to the hardware
+// thread count (prediction is CPU-bound and share-nothing after the
+// retriever cache warms).
 //
 // Schema notes (DESIGN.md section 13): the 1-thread rate is gated
 // (calibration-normalized); the 8-thread rate and scaling factor depend
 // on the runner's core count, so they ride in the noisy allowlist.
 
 #include <cstdio>
-#include <set>
 #include <string>
 
 #include "bench/bench_common.h"
@@ -104,14 +103,8 @@ void Run(bench::PerfReport* report, bool quick) {
   pipeline.TrainClassifier(spider);
   pipeline.FineTune(spider);
 
-  // Warm the per-database retriever cache so both thread counts measure
-  // inference, not index construction.
-  std::set<int> warmed;
-  for (const auto& sample : spider.dev) {
-    if (warmed.insert(sample.db_index).second) {
-      (void)pipeline.BuildPrompt(spider, sample);
-    }
-  }
+  // Every thread count measures inference, not index construction.
+  bench::WarmRetrievers(pipeline, spider);
 
   const int samples = quick ? 80 : 200;
   bench::TablePrinter table({10, 12, 12, 10, 8});
@@ -120,7 +113,7 @@ void Run(bench::PerfReport* report, bool quick) {
   double qps_1t = 0.0;
   double qps_8t = 0.0;
   double ex_1t = 0.0;
-  for (int threads : {1, 8}) {
+  for (int threads : {1, 2, 4, 8}) {
     EvalOptions options;
     options.num_threads = threads;
     options.max_samples = samples;
@@ -132,17 +125,16 @@ void Run(bench::PerfReport* report, bool quick) {
     if (threads == 1) {
       qps_1t = qps;
       ex_1t = result.metrics.ex;
-    } else {
-      qps_8t = qps;
-      // The determinism contract: sharding must not move accuracy.
-      CODES_CHECK(result.metrics.ex == ex_1t);
     }
+    if (threads == 8) qps_8t = qps;
+    // The determinism contract: sharding must not move accuracy.
+    CODES_CHECK(result.metrics.ex == ex_1t);
     table.Row({std::to_string(threads), FormatDouble(seconds, 2),
                FormatDouble(qps, 1),
                FormatDouble(qps / qps_1t, 2) + "x", bench::Pct(result.metrics.ex)});
   }
   std::printf(
-      "\nEX%% is asserted identical across thread counts: the driver "
+      "\nEX%% is asserted identical on every row: the driver "
       "shards deterministically and merges in sample order.\n");
 
   report->Add("eval_qps_1t_per_sec", qps_1t);

@@ -91,10 +91,6 @@ class Failpoints {
   /// spec and seed reproduces the exact fault pattern.
   static Status Configure(const std::string& spec, uint64_t seed);
 
-  /// Arms one site programmatically.
-  static void Arm(FailpointSite site, const FailpointSpec& spec,
-                  uint64_t seed);
-
   /// Disarms everything and zeroes statistics.
   static void Clear();
 
@@ -107,11 +103,6 @@ class Failpoints {
 
   /// Number of times `site` fired since the last Clear()/Configure().
   static uint64_t FiredCount(FailpointSite site);
-
-  /// Reads CODES_FAILPOINTS (spec string) and CODES_FAILPOINT_SEED
-  /// (decimal, default 0) from the environment; no-op when unset. Returns
-  /// the parse status so tools can surface typos.
-  static Status ConfigureFromEnv();
 };
 
 /// Establishes the deterministic decision scope for one unit of work (one

@@ -71,21 +71,6 @@ constexpr std::array kWords = {
 
 }  // namespace
 
-bool IsTextKind(ValueKind kind) {
-  switch (kind) {
-    case ValueKind::kYear:
-    case ValueKind::kSmallInt:
-    case ValueKind::kBigInt:
-    case ValueKind::kSequentialId:
-      return false;
-    case ValueKind::kMoney:
-    case ValueKind::kRate:
-      return false;
-    default:
-      return true;
-  }
-}
-
 sql::DataType TypeOfKind(ValueKind kind) {
   switch (kind) {
     case ValueKind::kYear:

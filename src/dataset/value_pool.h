@@ -33,9 +33,6 @@ enum class ValueKind {
   kSequentialId,  ///< handled by the populator, not the pool
 };
 
-/// True when the kind produces TEXT values (vs numeric).
-bool IsTextKind(ValueKind kind);
-
 /// SQL storage type for a kind.
 sql::DataType TypeOfKind(ValueKind kind);
 

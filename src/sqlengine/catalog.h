@@ -46,12 +46,6 @@ struct DatabaseSchema {
   /// Index of `table_name` (case-insensitive) or nullopt.
   std::optional<int> FindTable(const std::string& table_name) const;
 
-  /// Total number of columns across all tables.
-  int TotalColumns() const;
-
-  /// All FKs with either endpoint in `table_name`.
-  std::vector<ForeignKey> ForeignKeysOf(const std::string& table_name) const;
-
   /// Serializes the schema as CREATE TABLE DDL text (used by examples and
   /// the NL-to-code corpus generator).
   std::string ToDdl() const;

@@ -25,11 +25,6 @@ void CrashController::Arm(const CrashPlan& plan) {
   op_count_ = 0;
 }
 
-void CrashController::Disarm() {
-  armed_ = false;
-  crashed_ = false;
-}
-
 void CrashController::StartRecording() {
   recording_ = true;
   armed_ = false;
@@ -128,10 +123,6 @@ SimFile* SimEnv::GetFile(const std::string& name) {
   controller_.files_.push_back(raw);
   files_.emplace(name, std::move(file));
   return raw;
-}
-
-bool SimEnv::Exists(const std::string& name) const {
-  return files_.count(name) != 0;
 }
 
 void SimEnv::Reboot() {

@@ -69,7 +69,6 @@ class CrashController {
  public:
   /// Arms a crash plan (op counter restarts at 0).
   void Arm(const CrashPlan& plan);
-  void Disarm();
 
   /// Starts recording one CrashOpRecord per boundary (op counter restarts
   /// at 0). Used by campaigns to enumerate boundaries before armed runs.
@@ -148,8 +147,6 @@ class SimEnv {
 
   /// Returns the named file, creating an empty one if absent.
   SimFile* GetFile(const std::string& name);
-
-  bool Exists(const std::string& name) const;
 
   /// Post-crash "power cycle": clears the crashed flag, disarms the
   /// controller, and resets every file's merged image to its durable one

@@ -199,7 +199,6 @@ Status DiskManager::WritePage(PageId id, const std::byte* data) {
     return Status::Internal("write of unallocated page " +
                             std::to_string(id));
   }
-  ++writes_;
   PageWriteCounter().Increment();
   // Stamp the checksum into a scratch image so the caller's buffer (a
   // buffer-pool frame) is never mutated here.
@@ -253,11 +252,6 @@ size_t DiskManager::page_count() const {
 uint64_t DiskManager::read_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return reads_;
-}
-
-uint64_t DiskManager::write_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return writes_;
 }
 
 }  // namespace codes::storage

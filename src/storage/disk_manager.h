@@ -77,9 +77,8 @@ class DiskManager {
   size_t page_count() const;
   bool in_memory() const { return file_ == nullptr && sim_ == nullptr; }
 
-  /// Physical I/O counters (reads include failpoint-failed attempts).
+  /// Physical page reads (including failpoint-failed attempts).
   uint64_t read_count() const;
-  uint64_t write_count() const;
 
  private:
   DiskManager() = default;
@@ -93,7 +92,6 @@ class DiskManager {
   std::vector<std::unique_ptr<std::byte[]>> pages_;  // memory mode storage
   size_t page_count_ = 0;
   uint64_t reads_ = 0;
-  uint64_t writes_ = 0;
 };
 
 }  // namespace codes::storage

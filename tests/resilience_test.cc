@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -372,30 +371,6 @@ TEST_F(FailpointTest, TrailingSemicolonAndBlankSpecsAreAccepted) {
   EXPECT_TRUE(Failpoints::Configure("", 1).ok());
   EXPECT_FALSE(Failpoints::Enabled());
   EXPECT_TRUE(Failpoints::Configure("   ", 1).ok());
-  EXPECT_FALSE(Failpoints::Enabled());
-}
-
-TEST_F(FailpointTest, ConfigureFromEnvSurfacesBadSpecsAndSeeds) {
-  ::setenv("CODES_FAILPOINTS", "classifier.score=prob:0.5", 1);
-  ::setenv("CODES_FAILPOINT_SEED", "not-a-number", 1);
-  Status bad_seed = Failpoints::ConfigureFromEnv();
-  EXPECT_FALSE(bad_seed.ok());
-  EXPECT_NE(bad_seed.message().find("CODES_FAILPOINT_SEED"),
-            std::string::npos);
-
-  ::setenv("CODES_FAILPOINT_SEED", "42", 1);
-  EXPECT_TRUE(Failpoints::ConfigureFromEnv().ok());
-  EXPECT_TRUE(Failpoints::Enabled());
-  Failpoints::Clear();
-
-  ::setenv("CODES_FAILPOINTS", "classifier.score=prob:nan", 1);
-  Status bad_spec = Failpoints::ConfigureFromEnv();
-  EXPECT_FALSE(bad_spec.ok());
-  EXPECT_FALSE(Failpoints::Enabled());
-
-  ::unsetenv("CODES_FAILPOINTS");
-  ::unsetenv("CODES_FAILPOINT_SEED");
-  EXPECT_TRUE(Failpoints::ConfigureFromEnv().ok()) << "unset env is a no-op";
   EXPECT_FALSE(Failpoints::Enabled());
 }
 

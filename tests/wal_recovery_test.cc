@@ -2,11 +2,12 @@
 // append/sync/reopen round trips, torn-tail discipline, page checksums,
 // and redo-recovery edge cases — empty WAL, torn WAL tail, crash during
 // checkpoint, crash during eviction write-back, and double-recovery
-// idempotence — plus a miniature end-to-end crash campaign and the
-// crash.corpus regression replays.
+// idempotence — a file-backed WAL round trip, plus a miniature
+// end-to-end crash campaign and the crash.corpus regression replays.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -477,6 +478,61 @@ TEST(RecoveryTest, DoubleRecoveryIsIdempotent) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ExpectContentEquals(**db, first_batches, "second recovery");
   EXPECT_EQ(CounterValue("storage.recovery.discarded"), discarded0);
+}
+
+// ------------------------------------------------------------ file-backed
+
+// The one path that syncs and truncates a real log file: a freshly built
+// file-backed database adopts an empty WAL, commits batches through it,
+// and reopens through redo recovery with every committed row.
+TEST(FileWalTest, EnableWalCommitsSurviveOpenWithWal) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "codes_file_wal";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  const std::string path = (dir / "t.db").string();
+  const std::string wal_path = (dir / "t.db.wal").string();
+  constexpr int kBatches = 3;
+  sql::Database src = MakeSource();
+  {
+    auto disk = DiskManager::Create(path);
+    ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+    auto db = StorageDb::CreateFrom(src, std::move(*disk));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    Status enabled = (*db)->EnableWal(wal_path);
+    ASSERT_TRUE(enabled.ok()) << enabled.ToString();
+    EXPECT_EQ((*db)->EnableWal(wal_path).code(), StatusCode::kInvalidArgument)
+        << "a second EnableWal must not replace the attached log";
+    for (int b = 0; b < kBatches; ++b) {
+      Status st = AppendBatch(db->get(), b);
+      ASSERT_TRUE(st.ok()) << "batch " << b << ": " << st.ToString();
+    }
+  }
+  // A log that already holds records needs OpenWithWal's recovery; a
+  // fresh database must refuse to adopt it.
+  {
+    auto disk = DiskManager::Create((dir / "other.db").string());
+    ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+    auto other = StorageDb::CreateFrom(src, std::move(*disk));
+    ASSERT_TRUE(other.ok()) << other.status().ToString();
+    EXPECT_EQ((*other)->EnableWal(wal_path).code(),
+              StatusCode::kInvalidArgument);
+  }
+  uint64_t runs0 = CounterValue("storage.recovery.runs");
+  uint64_t seen0 = CounterValue("storage.recovery.wal_records_seen");
+  uint64_t replayed0 = CounterValue("storage.recovery.replayed");
+  uint64_t discarded0 = CounterValue("storage.recovery.discarded");
+  {
+    auto db = StorageDb::OpenWithWal(path, wal_path);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ExpectContentEquals(**db, kBatches, "file-backed reopen");
+  }
+  EXPECT_GE(CounterValue("storage.recovery.runs") - runs0, 1u);
+  uint64_t seen = CounterValue("storage.recovery.wal_records_seen") - seen0;
+  uint64_t replayed = CounterValue("storage.recovery.replayed") - replayed0;
+  uint64_t discarded = CounterValue("storage.recovery.discarded") - discarded0;
+  EXPECT_EQ(replayed + discarded, seen);
+  std::filesystem::remove_all(dir);
 }
 
 // -------------------------------------------------------- campaign harness
