@@ -20,28 +20,25 @@
 #include "common/timer.h"
 #include "core/pipeline.h"
 #include "dataset/sample.h"
+#include "tools/campaign.h"
 
 namespace codes::bench {
 
-/// Writes the global MetricsRegistry snapshot (JSON, schema in DESIGN.md)
-/// to the path given by a `--metrics-out=PATH` argument; a no-op when the
-/// flag is absent. Call at the end of a bench main so campaigns can
-/// harvest machine-readable per-stage breakdowns alongside the printed
-/// tables. Returns false (after saying why) when the write failed.
-inline bool WriteMetricsIfRequested(int argc, char** argv) {
+/// Exports the global MetricsRegistry snapshot (JSON, schema in DESIGN.md)
+/// to the path given by a `--metrics-out=PATH` argument through
+/// campaign::CheckAndWrite, the one checked writer: the declared metric
+/// invariants are evaluated first, one `metrics:` line each. A no-op when
+/// the flag is absent. Call at the end of a bench main and return its
+/// result: 0, 1 when an invariant is broken, 2 when the write failed.
+inline int CheckAndWriteMetrics(int argc, char** argv) {
   constexpr std::string_view kFlag = "--metrics-out=";
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
     if (arg.substr(0, kFlag.size()) != kFlag) continue;
-    std::string path(arg.substr(kFlag.size()));
-    Status written = MetricsRegistry::Global().Snapshot().WriteJsonFile(path);
-    if (!written.ok()) {
-      std::fprintf(stderr, "%s\n", written.ToString().c_str());
-      return false;
-    }
-    std::fprintf(stderr, "metrics snapshot written to %s\n", path.c_str());
+    return campaign::CheckAndWrite(MetricsRegistry::Global().Snapshot(),
+                                   std::string(arg.substr(kFlag.size())));
   }
-  return true;
+  return 0;
 }
 
 /// Fixed-width table printer.

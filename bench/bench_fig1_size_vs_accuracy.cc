@@ -91,5 +91,5 @@ void Run() {
 
 int main(int argc, char** argv) {
   codes::Run();
-  return codes::bench::WriteMetricsIfRequested(argc, argv) ? 0 : 1;
+  return codes::bench::CheckAndWriteMetrics(argc, argv);
 }

@@ -3,8 +3,9 @@
 // the capacity profiles standing in for the transformer hyper-parameters.
 // The 7B pipeline then prices each serving layer (guard, instrumentation,
 // admission, hardening) against the path without it; every before/after
-// pair here is timed by bench::AbTimer. The 1/2/4/8-thread throughput
-// sweep lives in bench_throughput.
+// pair here is timed by bench::AbTimer. Request-level latency, throughput,
+// EX and per-layer shares are servebench's numbers (BENCHMARK.json), not
+// this snapshot's.
 //
 // Paper shape to reproduce: latency grows with scale but stays far below
 // API-based systems (DIN-SQL + GPT-4 at ~60 s/sample); the ratio between
@@ -373,15 +374,12 @@ void DurabilitySection(bench::PerfReport* report, bool quick) {
 /// path and through the `layered` path (per-request callables), timed by
 /// the AbTimer. Prints the section's two-row table and budget line and
 /// records `<layer>_overhead_pct` — a difference of two noisy wall-clock
-/// reads, so it is reported in the noisy list, never gated. Returns the
-/// timing so a section can derive further keys from it.
+/// reads, so it is reported in the noisy list, never gated.
 template <typename Base, typename Layered>
-bench::AbTiming OverheadSection(const Text2SqlBenchmark& bench, int queries,
-                                const std::string& layer,
-                                const char* base_label,
-                                const char* layered_label, Base&& base,
-                                Layered&& layered,
-                                bench::PerfReport* report) {
+void OverheadSection(const Text2SqlBenchmark& bench, int queries,
+                     const std::string& layer, const char* base_label,
+                     const char* layered_label, Base&& base, Layered&& layered,
+                     bench::PerfReport* report) {
   bench::AbTiming timing = bench::AbTimer::Run(
       [&] { bench::ServeRequests(bench, queries, base); },
       [&] { bench::ServeRequests(bench, queries, layered); });
@@ -397,7 +395,6 @@ bench::AbTiming OverheadSection(const Text2SqlBenchmark& bench, int queries,
   std::printf("\n%s overhead: %+.2f%% (budget: <= 2%%)\n", layer.c_str(),
               overhead_pct);
   report->AddNoisy(layer + "_overhead_pct", overhead_pct);
-  return timing;
 }
 
 /// Limits generous enough that every guard check runs but none trips.
@@ -433,7 +430,7 @@ void GuardOverheadSection(const Text2SqlBenchmark& bench,
   CancelToken token;  // never cancelled; forces the token check too
   guarded.cancel = &token;
 
-  bench::AbTiming timing = OverheadSection(
+  OverheadSection(
       bench, queries, "guard", "Predict (no guard)", "PredictGuarded",
       [&](const Text2SqlSample& sample) {
         (void)pipeline.Predict(bench, sample);
@@ -442,68 +439,6 @@ void GuardOverheadSection(const Text2SqlBenchmark& bench,
         (void)pipeline.PredictGuarded(bench, sample, guarded);
       },
       report);
-  report->Add("predict_us_per_sample", 1e6 * timing.a / queries);
-}
-
-/// Where a guarded request spends its time: runs `queries` predictions
-/// with a zeroed registry and prints every pipeline stage span with its
-/// histogram percentiles and share of the root span's total. The share
-/// column is the paper's Section 9.7 claim made measurable — schema
-/// filtering and value retrieval should be small next to generation.
-void StageAttributionSection(const Text2SqlBenchmark& bench,
-                             const CodesPipeline& pipeline, int queries,
-                             bench::PerfReport* report) {
-  bench::Banner("Stage attribution: where a guarded request spends time");
-
-  ServeOptions options;
-  options.limits.max_rows = 20000;
-
-  MetricsRegistry::SetEnabled(true);
-  MetricsRegistry::Global().Reset();
-  bench::ServeRequests(bench, queries, [&](const Text2SqlSample& sample) {
-    (void)pipeline.PredictGuarded(bench, sample, options);
-  });
-  MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-
-  auto total_it = snapshot.histograms.find("span.pipeline.predict");
-  double total_us = total_it != snapshot.histograms.end()
-                        ? static_cast<double>(total_it->second.sum_us)
-                        : 0.0;
-
-  bench::TablePrinter table({28, 8, 10, 10, 10, 8});
-  table.Row({"stage span", "count", "p50 us", "p95 us", "p99 us", "share"});
-  table.Separator();
-  for (const auto& [name, h] : snapshot.histograms) {
-    constexpr std::string_view kPrefix = "span.";
-    if (name.rfind(kPrefix, 0) != 0) continue;
-    double share =
-        total_us > 0.0 ? 100.0 * static_cast<double>(h.sum_us) / total_us : 0.0;
-    table.Row({name.substr(kPrefix.size()), std::to_string(h.count),
-               FormatDouble(h.p50_us, 0), FormatDouble(h.p95_us, 0),
-               FormatDouble(h.p99_us, 0), bench::Pct(share) + "%"});
-  }
-  std::printf(
-      "\npercentiles are histogram bucket upper bounds (2x resolution); "
-      "share is the span's summed time over the root pipeline.predict "
-      "span's. Nested spans (bm25.lookup inside value_retrieval) overlap "
-      "their parents, so shares do not sum to 100%%.\n");
-
-  // Fixed stage list for the JSON schema: the key set must not depend on
-  // which spans happened to fire, so absent spans report 0. Percentiles
-  // are histogram bucket upper bounds (2x resolution), so a hair of drift
-  // can double the reported value — noisy, never gated.
-  const std::pair<const char*, const char*> kStages[] = {
-      {"span.pipeline.predict", "stage_predict"},
-      {"span.pipeline.value_retrieval", "stage_value_retrieval"},
-      {"span.bm25.lookup", "stage_bm25_lookup"},
-  };
-  for (const auto& [span, key] : kStages) {
-    auto it = snapshot.histograms.find(span);
-    double p50 = it != snapshot.histograms.end() ? it->second.p50_us : 0.0;
-    double p95 = it != snapshot.histograms.end() ? it->second.p95_us : 0.0;
-    report->AddNoisy(std::string(key) + "_p50_us", p50);
-    report->AddNoisy(std::string(key) + "_p95_us", p95);
-  }
 }
 
 /// The observability layer's own cost: the same prediction loop with the
@@ -756,7 +691,6 @@ void Run(bench::PerfReport* report, bool quick) {
     bench::WarmRetrievers(pipeline, spider);
     const int q = quick ? 80 : 300;
     GuardOverheadSection(spider, pipeline, q, report);
-    StageAttributionSection(spider, pipeline, q, report);
     InstrumentationOverheadSection(spider, pipeline, q, report);
     ChaosTailLatencySection(spider, pipeline, /*queries=*/quick ? 150 : 500);
     OverloadGoodputSection(spider, pipeline);
@@ -773,7 +707,9 @@ int main(int argc, char** argv) {
   codes::bench::PerfReport report("latency", quick ? "quick" : "full");
   report.SetCalibration(codes::bench::CalibrateOpsPerSec());
   codes::Run(&report, quick);
-  if (!codes::bench::WriteMetricsIfRequested(argc, argv)) return 1;
+  if (int rc = codes::bench::CheckAndWriteMetrics(argc, argv); rc != 0) {
+    return rc;
+  }
   if (!report.WriteIfRequested(argc, argv)) return 1;
   return 0;
 }

@@ -1,8 +1,11 @@
 #ifndef CODES_BENCH_PERF_REPORT_H_
 #define CODES_BENCH_PERF_REPORT_H_
 
-// Machine-readable benchmark snapshots (BENCH_latency.json /
-// BENCH_throughput.json). The schema contract (DESIGN.md section 13):
+// Machine-readable benchmark snapshot (BENCH_latency.json): the numbers
+// servebench cannot see — hot paths, storage, durability and the serving
+// layers' overhead budgets. Request-level latency, throughput and EX live
+// in servebench's BENCHMARK.json only. The schema contract (DESIGN.md
+// section 13):
 //
 //  * the KEY SET is deterministic — two runs of the same binary on any
 //    machine produce the same keys in the same order (std::map), only the
@@ -10,19 +13,17 @@
 //    metric rename is a reviewed schema change, not silent churn.
 //  * `calibration_ops_per_sec` measures this machine's single-thread speed
 //    on a fixed pinned workload (the reference LCS DP). codes_benchdiff
-//    uses the committed/current calibration ratio to compare time and rate
-//    metrics across machines of different speeds.
+//    uses the committed/current calibration ratio to compare time metrics
+//    across machines of different speeds.
 //  * `noisy` lists metrics excluded from the regression gate (reported
-//    only): tiny overhead deltas and anything dependent on the runner's
-//    core count.
+//    only): tiny overhead deltas and machine-dependent absolute times.
 //  * `profile` records quick vs full so CI never compares across query
 //    budgets.
 //
 // Key suffixes carry the unit and the improvement direction for
-// codes_benchdiff: `_us`/`_ms`/`_seconds` time-like lower-better
-// (calibration-normalized), `_qps`/`_per_sec` rate-like higher-better
-// (calibration-normalized), `_speedup_x` and `_ex_pct` raw higher-better,
-// any other `_pct` raw lower-better.
+// codes_benchdiff: `_us` time-like lower-better (calibration-normalized),
+// `_speedup_x` raw higher-better, `_pct` raw lower-better. A gated key
+// with any other suffix fails the gate.
 
 #include <algorithm>
 #include <cstdio>

@@ -138,8 +138,8 @@ struct LoadReport {
   /// Requests served before their deadline per virtual second.
   double GoodputQps() const;
   /// Requests served before their deadline *and* execution-verified, per
-  /// virtual second: the goodput-under-perturbation number codes_load
-  /// reports and BENCH_throughput.json tracks.
+  /// virtual second: the goodput-under-perturbation number
+  /// `codes_load --adv` reports and gates.
   double VerifiedGoodputQps() const;
   /// Same, for one tenant row.
   double TenantGoodputQps(size_t row) const;

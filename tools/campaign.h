@@ -7,7 +7,9 @@
 //                       codes::Parse* helpers; every usage error exits 2.
 //   * CheckAndWrite   — evaluates the metric invariants declared at the
 //                       counters' registration sites on the campaign's
-//                       snapshot, then writes it for --metrics-out.
+//                       snapshot, then writes it for --metrics-out. The
+//                       bench binaries export through it too
+//                       (bench::CheckAndWriteMetrics).
 //   * ReplaySelfcheck — the 1-vs-N thread replay: digests must match, and
 //                       optionally the deterministic metrics view too.
 

@@ -1,21 +1,20 @@
 // codes_benchdiff: the CI perf-regression gate.
 //
-//   codes_benchdiff <committed.json> <current.json> [--max-regress-pct=15]
+//   codes_benchdiff <committed.json> <current.json>
 //   codes_benchdiff --selftest
 //
 // Both inputs are PerfReport snapshots (bench/perf_report.h). The tool
 // hard-fails (exit 1) on schema drift — bench/profile mismatch, any
-// metric added or removed, noisy-allowlist drift — and on any gated
-// metric regressing by more than the threshold after calibration
-// normalization. Key suffixes carry unit and direction: _us/_ms/_seconds
-// time-like lower-better (scaled by the current/committed calibration
-// ratio), _per_sec/_qps rate-like higher-better (divided by it),
-// _speedup_x and _ex_pct raw higher-better, other _pct raw lower-better.
-// Metrics in the `noisy` allowlist are printed but never gate.
+// metric added or removed, noisy-allowlist drift, a gated metric whose
+// suffix names no direction — and on any gated metric regressing by more
+// than 15% after calibration normalization. Key suffixes carry unit and
+// direction: _us time-like lower-better (scaled by the current/committed
+// calibration ratio), _speedup_x raw higher-better, _pct raw
+// lower-better. Metrics in the `noisy` allowlist are printed but never
+// gate. Usage errors exit 2.
 
-#include <cmath>
+#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -24,6 +23,8 @@
 #include <string>
 
 namespace {
+
+constexpr double kMaxRegressPct = 15.0;
 
 struct Report {
   std::string bench;
@@ -122,20 +123,16 @@ bool EndsWith(const std::string& s, const char* suffix) {
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
-enum class Direction { kLowerTime, kHigherRate, kHigherRaw, kLowerRaw, kInfo };
+enum class Direction { kLowerTime, kHigherRaw, kLowerRaw, kNone };
 
 Direction Classify(const std::string& key) {
-  if (EndsWith(key, "_speedup_x") || EndsWith(key, "_ex_pct"))
-    return Direction::kHigherRaw;
+  if (EndsWith(key, "_speedup_x")) return Direction::kHigherRaw;
   if (EndsWith(key, "_pct")) return Direction::kLowerRaw;
-  if (EndsWith(key, "_us") || EndsWith(key, "_ms") || EndsWith(key, "_seconds"))
-    return Direction::kLowerTime;
-  if (EndsWith(key, "_per_sec") || EndsWith(key, "_qps"))
-    return Direction::kHigherRate;
-  return Direction::kInfo;
+  if (EndsWith(key, "_us")) return Direction::kLowerTime;
+  return Direction::kNone;
 }
 
-int Compare(const Report& committed, const Report& current, double max_pct) {
+int Compare(const Report& committed, const Report& current) {
   int failures = 0;
   if (committed.bench != current.bench ||
       committed.profile != current.profile) {
@@ -160,10 +157,18 @@ int Compare(const Report& committed, const Report& current, double max_pct) {
     std::fprintf(stderr, "FAIL: noisy allowlist drifted\n");
     ++failures;
   }
+  // A gated key must say which way is better, or it would never gate.
+  for (const auto& [key, _] : committed.metrics) {
+    if (!committed.noisy.count(key) && Classify(key) == Direction::kNone) {
+      std::fprintf(stderr, "FAIL: gated metric has no direction suffix: %s\n",
+                   key.c_str());
+      ++failures;
+    }
+  }
   if (failures > 0) return 1;
 
   // Machine-speed ratio: < 1 means the current machine is slower, so its
-  // raw times shrink (and rates grow) before comparison.
+  // raw times shrink before comparison.
   const double ratio = current.calibration / committed.calibration;
   std::printf("calibration: committed %.0f ops/s, current %.0f ops/s "
               "(ratio %.3f)\n", committed.calibration, current.calibration,
@@ -173,9 +178,7 @@ int Compare(const Report& committed, const Report& current, double max_pct) {
   for (const auto& [key, base] : committed.metrics) {
     const double raw = current.metrics.at(key);
     const Direction dir = Classify(key);
-    double adjusted = raw;
-    if (dir == Direction::kLowerTime) adjusted = raw * ratio;
-    if (dir == Direction::kHigherRate) adjusted = raw / ratio;
+    const double adjusted = dir == Direction::kLowerTime ? raw * ratio : raw;
     const bool noisy = committed.noisy.count(key) > 0;
     // A metric regresses only when BOTH the raw and the
     // calibration-adjusted values are past the threshold: a slower
@@ -184,13 +187,12 @@ int Compare(const Report& committed, const Report& current, double max_pct) {
     // fails both.
     bool regressed = false;
     if (!noisy) {
-      if (dir == Direction::kLowerTime || dir == Direction::kLowerRaw) {
-        const double limit = base * (1.0 + max_pct / 100.0);
-        regressed = adjusted > limit && raw > limit;
-      } else if (dir == Direction::kHigherRate ||
-                 dir == Direction::kHigherRaw) {
-        const double limit = base * (1.0 - max_pct / 100.0);
+      if (dir == Direction::kHigherRaw) {
+        const double limit = base * (1.0 - kMaxRegressPct / 100.0);
         regressed = adjusted < limit && raw < limit;
+      } else {
+        const double limit = base * (1.0 + kMaxRegressPct / 100.0);
+        regressed = adjusted > limit && raw > limit;
       }
     }
     const char* verdict = noisy ? "noisy" : (regressed ? "REGRESSED" : "ok");
@@ -200,10 +202,11 @@ int Compare(const Report& committed, const Report& current, double max_pct) {
   }
   if (failures > 0) {
     std::fprintf(stderr, "FAIL: %d metric(s) regressed more than %.0f%%\n",
-                 failures, max_pct);
+                 failures, kMaxRegressPct);
     return 1;
   }
-  std::printf("PASS: no gated metric regressed more than %.0f%%\n", max_pct);
+  std::printf("PASS: no gated metric regressed more than %.0f%%\n",
+              kMaxRegressPct);
   return 0;
 }
 
@@ -212,31 +215,35 @@ int SelfTest() {
       "{\"schema_version\": 1, \"bench\": \"latency\", \"profile\": "
       "\"quick\", \"calibration_ops_per_sec\": 1000, \"noisy\": "
       "[\"jitter_pct\"], \"metrics\": {\"hotpath_lcs_after_us\": 2.0, "
-      "\"hotpath_lcs_speedup_x\": 4.0, \"eval_qps_1t_per_sec\": 100, "
-      "\"jitter_pct\": 1.0}}";
+      "\"hotpath_lcs_speedup_x\": 4.0, \"jitter_pct\": 1.0}}";
   Report committed;
   if (!ParseReport(base, &committed)) return 1;
 
-  // Same numbers on a machine measured 2x slower: times double, rates
-  // halve, dimensionless metrics hold — normalization must pass it.
+  // Same numbers on a machine measured 2x slower: times double,
+  // dimensionless metrics hold — normalization must pass it.
   Report slower = committed;
   slower.calibration = 500;
   slower.metrics["hotpath_lcs_after_us"] = 4.0;
-  slower.metrics["eval_qps_1t_per_sec"] = 50;
   slower.metrics["jitter_pct"] = 99.0;  // noisy: huge swing, still passes
-  if (Compare(committed, slower, 15.0) != 0) return 1;
+  if (Compare(committed, slower) != 0) return 1;
 
   // A genuine 2x hot-path slowdown on the same machine must fail.
   Report slow = committed;
   slow.metrics["hotpath_lcs_after_us"] = 4.0;
   slow.metrics["hotpath_lcs_speedup_x"] = 2.0;
-  if (Compare(committed, slow, 15.0) != 1) return 1;
+  if (Compare(committed, slow) != 1) return 1;
 
   // Schema drift (metric renamed) must fail.
   Report drifted = committed;
   drifted.metrics.erase("hotpath_lcs_after_us");
   drifted.metrics["hotpath_lcs_after_usec"] = 2.0;
-  if (Compare(committed, drifted, 15.0) != 1) return 1;
+  if (Compare(committed, drifted) != 1) return 1;
+
+  // A gated key whose suffix names no direction must fail, even unchanged:
+  // otherwise it would ride along without ever gating.
+  Report undirected = committed;
+  undirected.metrics["eval_queries_per_sec"] = 100;
+  if (Compare(undirected, undirected) != 1) return 1;
 
   std::printf("selftest ok\n");
   return 0;
@@ -246,18 +253,11 @@ int SelfTest() {
 
 int main(int argc, char** argv) {
   if (argc == 2 && std::string(argv[1]) == "--selftest") return SelfTest();
-  if (argc < 3) {
+  if (argc != 3) {
     std::fprintf(stderr,
                  "usage: codes_benchdiff <committed.json> <current.json> "
-                 "[--max-regress-pct=N] | --selftest\n");
+                 "| --selftest\n");
     return 2;
-  }
-  double max_pct = 15.0;
-  for (int i = 3; i < argc; ++i) {
-    constexpr const char kFlag[] = "--max-regress-pct=";
-    if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
-      max_pct = std::atof(argv[i] + sizeof(kFlag) - 1);
-    }
   }
   Report committed;
   Report current;
@@ -274,5 +274,5 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  return Compare(committed, current, max_pct);
+  return Compare(committed, current);
 }
