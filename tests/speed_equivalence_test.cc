@@ -3,19 +3,28 @@
 // must be *behaviorally invisible* — byte-identical outputs, including
 // the exact double values, against the pinned reference implementations
 // it replaced. These tests are the contract that lets bench_latency's
-// before/after numbers claim a pure speed win.
+// before/after numbers claim a pure speed win. GenerationEquivalenceTest
+// extends the contract to whole requests: beams, served SQL and the
+// generated datasets hash to committed constants.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
+#include "core/model_zoo.h"
+#include "core/pipeline.h"
+#include "dataset/benchmark_builder.h"
 #include "index/bm25_index.h"
 #include "index/bm25_reference.h"
 #include "lm/ngram_lm.h"
 #include "lm/ngram_reference.h"
+#include "retrieval/demonstration_retriever.h"
 #include "text/similarity.h"
 
 namespace codes {
@@ -394,6 +403,149 @@ TEST(NgramEquivalenceTest, EightThreadsMatchSerial) {
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < 8; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
+}
+
+// ---------------------------------------------------------------------------
+// Generation: servebench's two deployments, pinned to committed digests.
+// A change that claims a pure generation speedup must leave every beam
+// (SQL, template id, score bit pattern), every served SQL and both
+// generated datasets byte-identical at 1 and 8 threads.
+// ---------------------------------------------------------------------------
+
+uint64_t Fnv(uint64_t h, const void* data, size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+uint64_t Fnv(uint64_t h, const std::string& s) {
+  uint64_t n = s.size();
+  return Fnv(Fnv(h, &n, sizeof(n)), s.data(), s.size());
+}
+uint64_t Fnv(uint64_t h, uint64_t v) { return Fnv(h, &v, sizeof(v)); }
+constexpr uint64_t kFnvBasis = 1469598103934665603ULL;
+
+uint64_t DatasetDigest(const Text2SqlBenchmark& bench) {
+  uint64_t h = kFnvBasis;
+  for (const auto* split : {&bench.train, &bench.dev}) {
+    h = Fnv(h, split->size());
+    for (const auto& s : *split) {
+      h = Fnv(Fnv(Fnv(h, s.question), s.sql), s.external_knowledge);
+    }
+  }
+  return h;
+}
+
+/// servebench's deployment: Spider-like 7B with SFT, or BIRD-like 7B with
+/// 3-shot ICL, external knowledge and top_k1/top_k2 = 5/6.
+struct Deployment {
+  Text2SqlBenchmark bench;
+  std::unique_ptr<CodesPipeline> pipeline;
+  std::unique_ptr<DemonstrationRetriever> demos;
+
+  Deployment(bool bird, const LmZoo& zoo)
+      : bench(bird ? BuildBirdLike() : BuildSpiderLike()) {
+    PipelineConfig config;
+    config.size = ModelSize::k7B;
+    if (bird) {
+      config.icl_shots = 3;
+      config.prompt.top_k1 = 5;
+      config.prompt.top_k2 = 6;
+      config.use_external_knowledge = true;
+    }
+    pipeline = std::make_unique<CodesPipeline>(config, zoo.CodesFor(config.size));
+    pipeline->TrainClassifier(bench);
+    if (bird) {
+      pipeline->SetDemonstrationPool(bench.train);
+      DemonstrationRetriever::Options options;
+      options.embedding_dim = pipeline->model().profile().embedding_dim;
+      options.use_pattern_similarity = config.use_pattern_similarity;
+      demos = std::make_unique<DemonstrationRetriever>(bench.train, options);
+    } else {
+      pipeline->FineTune(bench);
+    }
+  }
+
+  /// Digest of one dev request: the full beam PredictGuarded decodes
+  /// (same prompt, demonstrations and seed) and the SQL it serves.
+  uint64_t RequestDigest(const Text2SqlSample& sample) const {
+    const PipelineConfig& config = pipeline->config();
+    DatabasePrompt prompt = pipeline->BuildPrompt(bench, sample);
+    GenerationInput input;
+    input.db = &bench.DbOf(sample);
+    input.prompt = &prompt;
+    input.question = sample.question;
+    std::string question = sample.question;
+    if (config.use_external_knowledge) {
+      input.external_knowledge = sample.external_knowledge;
+      if (!sample.external_knowledge.empty()) {
+        question += " ; " + sample.external_knowledge;
+      }
+    }
+    if (demos != nullptr) {
+      for (int i : demos->TopK(question, config.icl_shots)) {
+        input.demonstrations.push_back(&bench.train[static_cast<size_t>(i)]);
+      }
+    }
+    uint64_t seed = config.seed ^ Fnv(kFnvBasis, sample.question.data(),
+                                      sample.question.size());
+    uint64_t h = kFnvBasis;
+    for (const auto& cand : pipeline->model().GenerateBeam(input, seed)) {
+      uint64_t bits;
+      std::memcpy(&bits, &cand.score, sizeof(bits));
+      h = Fnv(Fnv(Fnv(Fnv(h, cand.sql), cand.template_id), bits),
+              cand.executable ? 1 : 0);
+    }
+    return Fnv(h, pipeline->PredictGuarded(bench, sample, ServeOptions()));
+  }
+
+  uint64_t DevDigest(int threads) const {
+    std::vector<uint64_t> per(bench.dev.size());
+    ThreadPool pool(threads);
+    pool.ParallelFor(per.size(), [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) per[i] = RequestDigest(bench.dev[i]);
+    });
+    uint64_t h = kFnvBasis;
+    for (uint64_t v : per) h = Fnv(h, v);
+    return h;
+  }
+};
+
+class GenerationEquivalenceTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    zoo_ = new LmZoo();
+    spider_ = new Deployment(/*bird=*/false, *zoo_);
+    bird_ = new Deployment(/*bird=*/true, *zoo_);
+  }
+  static void TearDownTestSuite() {
+    delete bird_;
+    delete spider_;
+    delete zoo_;
+  }
+  static LmZoo* zoo_;
+  static Deployment* spider_;
+  static Deployment* bird_;
+};
+LmZoo* GenerationEquivalenceTest::zoo_ = nullptr;
+Deployment* GenerationEquivalenceTest::spider_ = nullptr;
+Deployment* GenerationEquivalenceTest::bird_ = nullptr;
+
+TEST_F(GenerationEquivalenceTest, DatasetsMatchPinnedDigests) {
+  EXPECT_EQ(DatasetDigest(spider_->bench), 0x90dd16fe4f98c1d7ULL);
+  EXPECT_EQ(DatasetDigest(bird_->bench), 0x751e4cc80e309ccdULL);
+}
+
+TEST_F(GenerationEquivalenceTest, SpiderSftBeamsMatchPinnedDigest) {
+  EXPECT_EQ(spider_->DevDigest(1), 0x739e90b470071970ULL);
+  EXPECT_EQ(spider_->DevDigest(8), 0x739e90b470071970ULL);
+}
+
+TEST_F(GenerationEquivalenceTest, BirdIclBeamsMatchPinnedDigest) {
+  EXPECT_EQ(bird_->DevDigest(1), 0xe0851ca9162be688ULL);
+  EXPECT_EQ(bird_->DevDigest(8), 0xe0851ca9162be688ULL);
 }
 
 }  // namespace
