@@ -1,39 +1,32 @@
 #include "core/model_zoo.h"
 
 #include "common/status.h"
-#include "corpus/pretrain_corpus.h"
 
 namespace codes {
 
-LmZoo::LmZoo(int scale, uint64_t seed) {
-  std::vector<std::string> base_corpus =
-      BuildBaseCodeCorpus(2500 * scale, seed);
-  CorpusSlices slices = BuildPretrainCorpus(scale, seed ^ 0xABCDEF);
+LmZoo::LmZoo(int scale, uint64_t seed)
+    : base_corpus_(BuildBaseCodeCorpus(2500 * scale, seed)),
+      slices_(BuildPretrainCorpus(scale, seed ^ 0xABCDEF)) {}
 
-  for (int order = 2; order <= 5; ++order) {
-    auto base = std::make_unique<NgramLm>(order);
-    base->Train(base_corpus, /*epochs=*/1);
+const LmZoo::OrderModels& LmZoo::Trained(int order) const {
+  CODES_CHECK(order >= 2 && order <= 5);
+  OrderModels& m = orders_[static_cast<size_t>(order - 2)];
+  std::call_once(m.trained, [&] {
+    m.base = std::make_unique<NgramLm>(order);
+    m.base->Train(base_corpus_, /*epochs=*/1);
 
     // Incremental pre-training starts from the base model's counts.
-    auto codes = std::make_unique<NgramLm>(*base);
-    codes->Train(slices.sql_related, /*epochs=*/2);
-    codes->Train(slices.nl_related, /*epochs=*/1);
-    codes->Train(slices.nl_to_code, /*epochs=*/1);
-
-    base_.push_back(std::move(base));
-    codes_.push_back(std::move(codes));
-  }
+    m.codes = std::make_unique<NgramLm>(*m.base);
+    m.codes->Train(slices_.sql_related, /*epochs=*/2);
+    m.codes->Train(slices_.nl_related, /*epochs=*/1);
+    m.codes->Train(slices_.nl_to_code, /*epochs=*/1);
+  });
+  return m;
 }
 
-const NgramLm& LmZoo::Base(int order) const {
-  CODES_CHECK(order >= 2 && order <= 5);
-  return *base_[static_cast<size_t>(order - 2)];
-}
+const NgramLm& LmZoo::Base(int order) const { return *Trained(order).base; }
 
-const NgramLm& LmZoo::Codes(int order) const {
-  CODES_CHECK(order >= 2 && order <= 5);
-  return *codes_[static_cast<size_t>(order - 2)];
-}
+const NgramLm& LmZoo::Codes(int order) const { return *Trained(order).codes; }
 
 const NgramLm* LmZoo::BaseFor(ModelSize size) const {
   return &Base(ProfileFor(size).ngram_order);

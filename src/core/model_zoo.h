@@ -1,10 +1,13 @@
 #ifndef CODES_CORE_MODEL_ZOO_H_
 #define CODES_CORE_MODEL_ZOO_H_
 
+#include <array>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "corpus/pretrain_corpus.h"
 #include "generator/capacity.h"
 #include "lm/ngram_lm.h"
 
@@ -16,8 +19,11 @@ namespace codes {
 ///  * Codes(order) — the same base counts, then *incrementally pre-trained*
 ///    on the SQL-centric corpus (SQL-related ×2 epochs, NL ×1, NL-to-code
 ///    ×1, matching Section 5.2's schedule).
-/// One LM is trained per n-gram order 2..5 because the order is a model-
-/// size capacity knob.
+/// One LM pair is kept per n-gram order 2..5 because the order is a model-
+/// size capacity knob. The constructor builds only the corpora; each
+/// order's pair is trained on its first Base/Codes access (once, even
+/// under concurrent first access), so a deployment that reads one order
+/// holds one pair instead of eight models.
 class LmZoo {
  public:
   /// `scale` multiplies corpus sizes (see corpus/pretrain_corpus.h).
@@ -31,8 +37,18 @@ class LmZoo {
   const NgramLm* CodesFor(ModelSize size) const;
 
  private:
-  std::vector<std::unique_ptr<NgramLm>> base_;   // index = order - 2
-  std::vector<std::unique_ptr<NgramLm>> codes_;  // index = order - 2
+  struct OrderModels {
+    std::once_flag trained;
+    std::unique_ptr<NgramLm> base;
+    std::unique_ptr<NgramLm> codes;
+  };
+
+  /// The pair for `order`, trained on first use.
+  const OrderModels& Trained(int order) const;
+
+  std::vector<std::string> base_corpus_;
+  CorpusSlices slices_;
+  mutable std::array<OrderModels, 4> orders_;  // index = order - 2
 };
 
 /// One row of the Table 4 baseline matrix: an open-source LLM emulated by

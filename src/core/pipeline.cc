@@ -209,11 +209,14 @@ void CodesPipeline::ShareClassifier(
 void CodesPipeline::FineTune(const std::vector<Text2SqlSample>& train,
                              int max_samples) {
   model_.FineTune(train, max_samples);
+  // A refit encoder invalidates the model's demonstration encodings.
+  if (!demo_pool_.empty()) model_.SetDemonstrationPool(demo_pool_);
 }
 
 void CodesPipeline::FineTune(const Text2SqlBenchmark& bench,
                              int max_samples) {
   model_.FineTune(bench.train, &bench, max_samples);
+  if (!demo_pool_.empty()) model_.SetDemonstrationPool(demo_pool_);
 }
 
 void CodesPipeline::SetDemonstrationPool(
@@ -230,6 +233,7 @@ void CodesPipeline::SetDemonstrationPool(
   options.embedding_dim = model_.profile().embedding_dim;
   options.use_pattern_similarity = config_.use_pattern_similarity;
   demo_retriever_ = std::make_unique<DemonstrationRetriever>(pool, options);
+  model_.SetDemonstrationPool(demo_pool_);
 }
 
 std::shared_ptr<const ValueRetriever> CodesPipeline::RetrieverFor(

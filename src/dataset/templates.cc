@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
+#include <unordered_set>
 
 #include "common/status.h"
 #include "common/string_util.h"
@@ -14,6 +16,80 @@
 namespace codes {
 
 using namespace codes::template_internal;
+
+// ===========================================================================
+// Column classes
+// ===========================================================================
+
+ColumnClasses::ColumnClasses(const sql::Database& db)
+    : db_(db), tables_(db.schema().tables.size()) {
+  for (const auto& fk : db.schema().foreign_keys) {
+    foreign_keys_.push_back(KeyPair{ToLower(fk.table), ToLower(fk.column),
+                                    ToLower(fk.ref_table),
+                                    ToLower(fk.ref_column)});
+  }
+}
+
+ColumnClasses::TableClasses& ColumnClasses::Classified(int t) {
+  TableClasses& out = tables_[static_cast<size_t>(t)];
+  if (out.classified) return out;
+  out.classified = true;
+  const auto& table = db_.schema().tables[t];
+  const auto& rows = db_.TableAt(t).rows;
+  const std::string table_name = ToLower(table.name);
+  out.key.assign(table.columns.size(), false);
+  for (size_t c = 0; c < table.columns.size(); ++c) {
+    const auto& col = table.columns[c];
+    const std::string name = ToLower(col.name);
+    bool fk_child = false;
+    bool fk_parent = false;
+    for (const auto& fk : foreign_keys_) {
+      fk_child |= fk.table == table_name && fk.column == name;
+      fk_parent |= fk.ref_table == table_name && fk.ref_column == name;
+    }
+    out.key[c] = col.is_primary_key || fk_child || fk_parent;
+    bool id_like = col.is_primary_key || EndsWith(name, "_id") || fk_child;
+    if (id_like) continue;
+    if (col.type == DataType::kText) {
+      out.text.push_back(static_cast<int>(c));
+      for (const auto& row : rows) {
+        if (row[c].is_null()) continue;
+        const std::string& v = row[c].AsText();
+        if (v.size() == 10 && v[4] == '-' && v[7] == '-') {
+          out.date.push_back(static_cast<int>(c));
+        }
+        break;  // judge by first non-null value
+      }
+    } else if (col.type == DataType::kInteger || col.type == DataType::kReal) {
+      out.numeric.push_back(static_cast<int>(c));
+    }
+  }
+  return out;
+}
+
+const std::vector<int>& ColumnClasses::Category(int t) {
+  TableClasses& classes = Classified(t);
+  if (classes.category.has_value()) return *classes.category;
+  std::vector<int>& out = classes.category.emplace();
+  const auto& rows = db_.TableAt(t).rows;
+  if (rows.empty()) return out;
+  std::unordered_set<std::string_view> seen;
+  for (int c : classes.text) {
+    seen.clear();
+    int non_null = 0;
+    for (const auto& row : rows) {
+      if (row[c].is_null()) continue;
+      ++non_null;
+      seen.insert(row[c].AsText());
+      // Over half the rows distinct already rules the column out.
+      if (seen.size() * 2 > rows.size()) break;
+    }
+    if (non_null >= 4 && seen.size() * 2 <= static_cast<size_t>(non_null)) {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
 
 // ===========================================================================
 // Template registration
@@ -37,12 +113,12 @@ TemplateLibrary::TemplateLibrary() {
            [](const Database& db, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
              Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return !TextColumns(db, t).empty();
+             auto tables = TablesWhere(db, [&ctx](int t) {
+               return !ctx.classes.Text(t).empty();
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto c = PickSelectColumn(ctx, *t, TextColumns(db, *t));
+             auto c = PickSelectColumn(ctx, *t, ctx.classes.Text(*t));
              if (!c) return std::nullopt;
              auto stmt = From(db, *t);
              AddSelect(*stmt, ColRef(db, *t, *c, false));
@@ -60,14 +136,15 @@ TemplateLibrary::TemplateLibrary() {
            [](const Database& db, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
              Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return TextColumns(db, t).size() + NumericColumns(db, t).size() >=
+             auto tables = TablesWhere(db, [&ctx](int t) {
+               return ctx.classes.Text(t).size() +
+                      ctx.classes.Numeric(t).size() >=
                       2;
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto cols = TextColumns(db, *t);
-             for (int n : NumericColumns(db, *t)) cols.push_back(n);
+             auto cols = ctx.classes.Text(*t);
+             for (int n : ctx.classes.Numeric(*t)) cols.push_back(n);
              auto c1 = PickSelectColumn(ctx, *t, cols);
              if (!c1) return std::nullopt;
              cols.erase(std::remove(cols.begin(), cols.end(), *c1), cols.end());
@@ -99,14 +176,15 @@ TemplateLibrary::TemplateLibrary() {
            [](const Database& db, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
              Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return TextColumns(db, t).size() + NumericColumns(db, t).size() >=
+             auto tables = TablesWhere(db, [&ctx](int t) {
+               return ctx.classes.Text(t).size() +
+                      ctx.classes.Numeric(t).size() >=
                       3;
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto cols = TextColumns(db, *t);
-             for (int n : NumericColumns(db, *t)) cols.push_back(n);
+             auto cols = ctx.classes.Text(*t);
+             for (int n : ctx.classes.Numeric(*t)) cols.push_back(n);
              std::vector<int> chosen;
              for (int i = 0; i < 3; ++i) {
                auto c = PickSelectColumn(ctx, *t, cols);
@@ -133,12 +211,12 @@ TemplateLibrary::TemplateLibrary() {
            [](const Database& db, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
              Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return !CategoryColumns(db, t).empty();
+             auto tables = TablesWhere(db, [&ctx](int t) {
+               return !ctx.classes.Category(t).empty();
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto c = PickSelectColumn(ctx, *t, CategoryColumns(db, *t));
+             auto c = PickSelectColumn(ctx, *t, ctx.classes.Category(*t));
              if (!c) return std::nullopt;
              auto stmt = From(db, *t);
              stmt->distinct = true;
@@ -159,12 +237,12 @@ TemplateLibrary::TemplateLibrary() {
            [](const Database& db, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
              Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return !CategoryColumns(db, t).empty();
+             auto tables = TablesWhere(db, [&ctx](int t) {
+               return !ctx.classes.Category(t).empty();
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto c = PickFilterColumn(ctx, *t, CategoryColumns(db, *t));
+             auto c = PickFilterColumn(ctx, *t, ctx.classes.Category(*t));
              if (!c) return std::nullopt;
              auto v = SampleCell(ctx, *t, *c);
              if (!v) return std::nullopt;
@@ -199,18 +277,18 @@ TemplateLibrary::TemplateLibrary() {
             const Database& db, Rng& rng,
             const SlotGuidance* g) -> std::optional<TemplateInstance> {
           Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db, numeric](int t) {
-            if (TextColumns(db, t).empty()) return false;
-            return numeric ? !NumericColumns(db, t).empty()
-                           : !CategoryColumns(db, t).empty();
+          auto tables = TablesWhere(db, [&ctx, numeric](int t) {
+            if (ctx.classes.Text(t).empty()) return false;
+            return numeric ? !ctx.classes.Numeric(t).empty()
+                           : !ctx.classes.Category(t).empty();
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
+          auto sel = PickSelectColumn(ctx, *t, ctx.classes.Text(*t));
           if (!sel) return std::nullopt;
           auto filt = PickFilterColumn(
-              ctx, *t, numeric ? NumericColumns(db, *t)
-                               : CategoryColumns(db, *t));
+              ctx, *t, numeric ? ctx.classes.Numeric(*t)
+                               : ctx.classes.Category(*t));
           if (!filt || *filt == *sel) {
             if (!filt) return std::nullopt;
           }
@@ -252,14 +330,14 @@ TemplateLibrary::TemplateLibrary() {
         [cmp](const Database& db, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
           Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db](int t) {
-            return !TextColumns(db, t).empty() &&
-                   !NumericColumns(db, t).empty();
+          auto tables = TablesWhere(db, [&ctx](int t) {
+            return !ctx.classes.Text(t).empty() &&
+                   !ctx.classes.Numeric(t).empty();
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-          auto filt = PickFilterColumn(ctx, *t, NumericColumns(db, *t));
+          auto sel = PickSelectColumn(ctx, *t, ctx.classes.Text(*t));
+          auto filt = PickFilterColumn(ctx, *t, ctx.classes.Numeric(*t));
           if (!sel || !filt) return std::nullopt;
           auto v = PickThreshold(ctx, *t, *filt);
           if (!v) return std::nullopt;
@@ -298,16 +376,16 @@ TemplateLibrary::TemplateLibrary() {
       [](const Database& db, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
         Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !TextColumns(db, t).empty() &&
-                 !CategoryColumns(db, t).empty() &&
-                 !NumericColumns(db, t).empty();
+        auto tables = TablesWhere(db, [&ctx](int t) {
+          return !ctx.classes.Text(t).empty() &&
+                 !ctx.classes.Category(t).empty() &&
+                 !ctx.classes.Numeric(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-        auto cat = PickFilterColumn(ctx, *t, CategoryColumns(db, *t));
-        auto num = PickFilterColumn(ctx, *t, NumericColumns(db, *t));
+        auto sel = PickSelectColumn(ctx, *t, ctx.classes.Text(*t));
+        auto cat = PickFilterColumn(ctx, *t, ctx.classes.Category(*t));
+        auto num = PickFilterColumn(ctx, *t, ctx.classes.Numeric(*t));
         if (!sel || !cat || !num) return std::nullopt;
         auto v1 = SampleCell(ctx, *t, *cat);
         auto v2 = PickThreshold(ctx, *t, *num);
@@ -345,14 +423,14 @@ TemplateLibrary::TemplateLibrary() {
       [](const Database& db, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
         Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !TextColumns(db, t).empty() &&
-                 !CategoryColumns(db, t).empty();
+        auto tables = TablesWhere(db, [&ctx](int t) {
+          return !ctx.classes.Text(t).empty() &&
+                 !ctx.classes.Category(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-        auto cat = PickFilterColumn(ctx, *t, CategoryColumns(db, *t));
+        auto sel = PickSelectColumn(ctx, *t, ctx.classes.Text(*t));
+        auto cat = PickFilterColumn(ctx, *t, ctx.classes.Category(*t));
         if (!sel || !cat) return std::nullopt;
         auto v1 = SampleCell(ctx, *t, *cat);
         auto v2 = SampleCell(ctx, *t, *cat);
@@ -397,13 +475,14 @@ TemplateLibrary::TemplateLibrary() {
       [](const Database& db, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
         Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !TextColumns(db, t).empty() && !NumericColumns(db, t).empty();
+        auto tables = TablesWhere(db, [&ctx](int t) {
+          return !ctx.classes.Text(t).empty() &&
+                 !ctx.classes.Numeric(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-        auto num = PickFilterColumn(ctx, *t, NumericColumns(db, *t));
+        auto sel = PickSelectColumn(ctx, *t, ctx.classes.Text(*t));
+        auto num = PickFilterColumn(ctx, *t, ctx.classes.Numeric(*t));
         if (!sel || !num) return std::nullopt;
         // Bounds: two question numbers when guided, else data quartiles.
         Value lo, hi;
@@ -465,12 +544,12 @@ TemplateLibrary::TemplateLibrary() {
         [substring](const Database& db, Rng& rng,
                     const SlotGuidance* g) -> std::optional<TemplateInstance> {
           Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db](int t) {
-            return !TextColumns(db, t).empty();
+          auto tables = TablesWhere(db, [&ctx](int t) {
+            return !ctx.classes.Text(t).empty();
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto c = PickSelectColumn(ctx, *t, TextColumns(db, *t));
+          auto c = PickSelectColumn(ctx, *t, ctx.classes.Text(*t));
           if (!c) return std::nullopt;
           auto v = SampleCell(ctx, *t, *c);
           if (!v || !v->is_text() || v->AsText().size() < 3) {
@@ -520,17 +599,17 @@ TemplateLibrary::TemplateLibrary() {
         [is_null](const Database& db, Rng& rng,
                   const SlotGuidance* g) -> std::optional<TemplateInstance> {
           Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db](int t) {
-            return TextColumns(db, t).size() >= 1 &&
-                   TextColumns(db, t).size() + NumericColumns(db, t).size() >=
+          auto tables = TablesWhere(db, [&ctx](int t) {
+            return ctx.classes.Text(t).size() >= 1 &&
+                   ctx.classes.Text(t).size() + ctx.classes.Numeric(t).size() >=
                        2;
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
+          auto sel = PickSelectColumn(ctx, *t, ctx.classes.Text(*t));
           if (!sel) return std::nullopt;
-          auto cands = TextColumns(db, *t);
-          for (int n : NumericColumns(db, *t)) cands.push_back(n);
+          auto cands = ctx.classes.Text(*t);
+          for (int n : ctx.classes.Numeric(*t)) cands.push_back(n);
           cands.erase(std::remove(cands.begin(), cands.end(), *sel),
                       cands.end());
           auto filt = PickFilterColumn(ctx, *t, cands);
@@ -562,14 +641,14 @@ TemplateLibrary::TemplateLibrary() {
       [](const Database& db, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
         Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !TextColumns(db, t).empty() &&
-                 !CategoryColumns(db, t).empty();
+        auto tables = TablesWhere(db, [&ctx](int t) {
+          return !ctx.classes.Text(t).empty() &&
+                 !ctx.classes.Category(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-        auto cat = PickFilterColumn(ctx, *t, CategoryColumns(db, *t));
+        auto sel = PickSelectColumn(ctx, *t, ctx.classes.Text(*t));
+        auto cat = PickFilterColumn(ctx, *t, ctx.classes.Category(*t));
         if (!sel || !cat) return std::nullopt;
         std::vector<Value> values;
         for (int i = 0; i < 3; ++i) {
@@ -612,14 +691,14 @@ TemplateLibrary::TemplateLibrary() {
       [](const Database& db, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
         Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !TextColumns(db, t).empty() &&
-                 NumericColumns(db, t).size() >= 2;
+        auto tables = TablesWhere(db, [&ctx](int t) {
+          return !ctx.classes.Text(t).empty() &&
+                 ctx.classes.Numeric(t).size() >= 2;
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-        auto nums = NumericColumns(db, *t);
+        auto sel = PickSelectColumn(ctx, *t, ctx.classes.Text(*t));
+        auto nums = ctx.classes.Numeric(*t);
         auto n1 = PickFilterColumn(ctx, *t, nums);
         if (!sel || !n1) return std::nullopt;
         nums.erase(std::remove(nums.begin(), nums.end(), *n1), nums.end());
@@ -648,13 +727,13 @@ TemplateLibrary::TemplateLibrary() {
       [](const Database& db, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
         Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !TextColumns(db, t).empty() && !DateColumns(db, t).empty();
+        auto tables = TablesWhere(db, [&ctx](int t) {
+          return !ctx.classes.Text(t).empty() && !ctx.classes.Date(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-        auto date = PickFilterColumn(ctx, *t, DateColumns(db, *t));
+        auto sel = PickSelectColumn(ctx, *t, ctx.classes.Text(*t));
+        auto date = PickFilterColumn(ctx, *t, ctx.classes.Date(*t));
         if (!sel || !date || *sel == *date) return std::nullopt;
         std::string year;
         if (ctx.guide != nullptr) {
@@ -696,20 +775,20 @@ TemplateLibrary::TemplateLibrary() {
       [](const Database& db, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
         Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return TextColumns(db, t).size() + NumericColumns(db, t).size() >=
+        auto tables = TablesWhere(db, [&ctx](int t) {
+          return ctx.classes.Text(t).size() + ctx.classes.Numeric(t).size() >=
                      2 &&
-                 !CategoryColumns(db, t).empty();
+                 !ctx.classes.Category(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto cols = TextColumns(db, *t);
-        for (int n : NumericColumns(db, *t)) cols.push_back(n);
+        auto cols = ctx.classes.Text(*t);
+        for (int n : ctx.classes.Numeric(*t)) cols.push_back(n);
         auto c1 = PickSelectColumn(ctx, *t, cols);
         if (!c1) return std::nullopt;
         cols.erase(std::remove(cols.begin(), cols.end(), *c1), cols.end());
         auto c2 = PickSelectColumn(ctx, *t, cols);
-        auto cat = PickFilterColumn(ctx, *t, CategoryColumns(db, *t));
+        auto cat = PickFilterColumn(ctx, *t, ctx.classes.Category(*t));
         if (!c2 || !cat) return std::nullopt;
         auto v = SampleCell(ctx, *t, *cat);
         if (!v) return std::nullopt;
@@ -762,12 +841,12 @@ TemplateLibrary::TemplateLibrary() {
       [](const Database& db, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
         Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !CategoryColumns(db, t).empty();
+        auto tables = TablesWhere(db, [&ctx](int t) {
+          return !ctx.classes.Category(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto cat = PickFilterColumn(ctx, *t, CategoryColumns(db, *t));
+        auto cat = PickFilterColumn(ctx, *t, ctx.classes.Category(*t));
         if (!cat) return std::nullopt;
         auto v = SampleCell(ctx, *t, *cat);
         if (!v) return std::nullopt;
@@ -795,12 +874,12 @@ TemplateLibrary::TemplateLibrary() {
       [](const Database& db, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
         Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !NumericColumns(db, t).empty();
+        auto tables = TablesWhere(db, [&ctx](int t) {
+          return !ctx.classes.Numeric(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto num = PickFilterColumn(ctx, *t, NumericColumns(db, *t));
+        auto num = PickFilterColumn(ctx, *t, ctx.classes.Numeric(*t));
         if (!num) return std::nullopt;
         auto v = PickThreshold(ctx, *t, *num);
         if (!v) return std::nullopt;
@@ -824,12 +903,12 @@ TemplateLibrary::TemplateLibrary() {
            [](const Database& db, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
              Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return !CategoryColumns(db, t).empty();
+             auto tables = TablesWhere(db, [&ctx](int t) {
+               return !ctx.classes.Category(t).empty();
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto c = PickSelectColumn(ctx, *t, CategoryColumns(db, *t));
+             auto c = PickSelectColumn(ctx, *t, ctx.classes.Category(*t));
              if (!c) return std::nullopt;
              auto stmt = From(db, *t);
              AddSelect(*stmt,
@@ -851,14 +930,14 @@ TemplateLibrary::TemplateLibrary() {
       [](const Database& db, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
         Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !CategoryColumns(db, t).empty() &&
-                 !NumericColumns(db, t).empty();
+        auto tables = TablesWhere(db, [&ctx](int t) {
+          return !ctx.classes.Category(t).empty() &&
+                 !ctx.classes.Numeric(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto cat = PickFilterColumn(ctx, *t, CategoryColumns(db, *t));
-        auto num = PickFilterColumn(ctx, *t, NumericColumns(db, *t));
+        auto cat = PickFilterColumn(ctx, *t, ctx.classes.Category(*t));
+        auto num = PickFilterColumn(ctx, *t, ctx.classes.Numeric(*t));
         if (!cat || !num) return std::nullopt;
         auto v1 = SampleCell(ctx, *t, *cat);
         auto v2 = PickThreshold(ctx, *t, *num);
@@ -898,19 +977,19 @@ TemplateLibrary::TemplateLibrary() {
             const Database& db, Rng& rng,
             const SlotGuidance* g) -> std::optional<TemplateInstance> {
           Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db, with_where](int t) {
-            if (NumericColumns(db, t).empty()) return false;
-            return !with_where || !CategoryColumns(db, t).empty();
+          auto tables = TablesWhere(db, [&ctx, with_where](int t) {
+            if (ctx.classes.Numeric(t).empty()) return false;
+            return !with_where || !ctx.classes.Category(t).empty();
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto num = PickSelectColumn(ctx, *t, NumericColumns(db, *t));
+          auto num = PickSelectColumn(ctx, *t, ctx.classes.Numeric(*t));
           if (!num) return std::nullopt;
           auto stmt = From(db, *t);
           AddSelect(*stmt, Agg(agg.fn, ColRef(db, *t, *num, false)));
           TemplateInstance inst;
           if (with_where) {
-            auto cat = PickFilterColumn(ctx, *t, CategoryColumns(db, *t));
+            auto cat = PickFilterColumn(ctx, *t, ctx.classes.Category(*t));
             if (!cat) return std::nullopt;
             auto v = SampleCell(ctx, *t, *cat);
             if (!v) return std::nullopt;
@@ -958,12 +1037,12 @@ TemplateLibrary::TemplateLibrary() {
            [](const Database& db, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
              Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return !NumericColumns(db, t).empty();
+             auto tables = TablesWhere(db, [&ctx](int t) {
+               return !ctx.classes.Numeric(t).empty();
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto num = PickSelectColumn(ctx, *t, NumericColumns(db, *t));
+             auto num = PickSelectColumn(ctx, *t, ctx.classes.Numeric(*t));
              if (!num) return std::nullopt;
              auto stmt = From(db, *t);
              AddSelect(*stmt, Agg("MIN", ColRef(db, *t, *num, false)));
@@ -981,12 +1060,12 @@ TemplateLibrary::TemplateLibrary() {
            [](const Database& db, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
              Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return !NumericColumns(db, t).empty();
+             auto tables = TablesWhere(db, [&ctx](int t) {
+               return !ctx.classes.Numeric(t).empty();
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto num = PickSelectColumn(ctx, *t, NumericColumns(db, *t));
+             auto num = PickSelectColumn(ctx, *t, ctx.classes.Numeric(*t));
              if (!num) return std::nullopt;
              auto stmt = From(db, *t);
              AddSelect(*stmt, Expr::MakeBinary(
@@ -1007,12 +1086,12 @@ TemplateLibrary::TemplateLibrary() {
            [](const Database& db, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
              Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return !NumericColumns(db, t).empty();
+             auto tables = TablesWhere(db, [&ctx](int t) {
+               return !ctx.classes.Numeric(t).empty();
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto num = PickSelectColumn(ctx, *t, NumericColumns(db, *t));
+             auto num = PickSelectColumn(ctx, *t, ctx.classes.Numeric(*t));
              if (!num) return std::nullopt;
              auto stmt = From(db, *t);
              std::vector<std::unique_ptr<Expr>> args;
@@ -1054,14 +1133,14 @@ TemplateLibrary::TemplateLibrary() {
             const Database& db, Rng& rng,
             const SlotGuidance* g) -> std::optional<TemplateInstance> {
           Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db](int t) {
-            return !TextColumns(db, t).empty() &&
-                   !NumericColumns(db, t).empty();
+          auto tables = TablesWhere(db, [&ctx](int t) {
+            return !ctx.classes.Text(t).empty() &&
+                   !ctx.classes.Numeric(t).empty();
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-          auto key = PickFilterColumn(ctx, *t, NumericColumns(db, *t));
+          auto sel = PickSelectColumn(ctx, *t, ctx.classes.Text(*t));
+          auto key = PickFilterColumn(ctx, *t, ctx.classes.Numeric(*t));
           if (!sel || !key) return std::nullopt;
           auto stmt = From(db, *t);
           AddSelect(*stmt, ColRef(db, *t, *sel, false));
@@ -1133,13 +1212,14 @@ TemplateLibrary::TemplateLibrary() {
       [](const Database& db, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
         Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !TextColumns(db, t).empty() && !NumericColumns(db, t).empty();
+        auto tables = TablesWhere(db, [&ctx](int t) {
+          return !ctx.classes.Text(t).empty() &&
+                 !ctx.classes.Numeric(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-        auto key = PickFilterColumn(ctx, *t, NumericColumns(db, *t));
+        auto sel = PickSelectColumn(ctx, *t, ctx.classes.Text(*t));
+        auto key = PickFilterColumn(ctx, *t, ctx.classes.Numeric(*t));
         if (!sel || !key) return std::nullopt;
         auto stmt = From(db, *t);
         AddSelect(*stmt, ColRef(db, *t, *sel, false));
@@ -1165,12 +1245,12 @@ TemplateLibrary::TemplateLibrary() {
            [](const Database& db, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
              Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return !CategoryColumns(db, t).empty();
+             auto tables = TablesWhere(db, [&ctx](int t) {
+               return !ctx.classes.Category(t).empty();
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto cat = PickSelectColumn(ctx, *t, CategoryColumns(db, *t));
+             auto cat = PickSelectColumn(ctx, *t, ctx.classes.Category(*t));
              if (!cat) return std::nullopt;
              auto stmt = From(db, *t);
              AddSelect(*stmt, ColRef(db, *t, *cat, false));
@@ -1196,12 +1276,12 @@ TemplateLibrary::TemplateLibrary() {
         [most](const Database& db, Rng& rng,
                const SlotGuidance* g) -> std::optional<TemplateInstance> {
           Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db](int t) {
-            return !CategoryColumns(db, t).empty();
+          auto tables = TablesWhere(db, [&ctx](int t) {
+            return !ctx.classes.Category(t).empty();
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto cat = PickSelectColumn(ctx, *t, CategoryColumns(db, *t));
+          auto cat = PickSelectColumn(ctx, *t, ctx.classes.Category(*t));
           if (!cat) return std::nullopt;
           auto stmt = From(db, *t);
           AddSelect(*stmt, ColRef(db, *t, *cat, false));
@@ -1233,14 +1313,14 @@ TemplateLibrary::TemplateLibrary() {
         [agg](const Database& db, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
           Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db](int t) {
-            return !CategoryColumns(db, t).empty() &&
-                   !NumericColumns(db, t).empty();
+          auto tables = TablesWhere(db, [&ctx](int t) {
+            return !ctx.classes.Category(t).empty() &&
+                   !ctx.classes.Numeric(t).empty();
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto cat = PickSelectColumn(ctx, *t, CategoryColumns(db, *t));
-          auto num = PickSelectColumn(ctx, *t, NumericColumns(db, *t));
+          auto cat = PickSelectColumn(ctx, *t, ctx.classes.Category(*t));
+          auto num = PickSelectColumn(ctx, *t, ctx.classes.Numeric(*t));
           if (!cat || !num) return std::nullopt;
           auto stmt = From(db, *t);
           AddSelect(*stmt, ColRef(db, *t, *cat, false));
@@ -1268,12 +1348,12 @@ TemplateLibrary::TemplateLibrary() {
       [](const Database& db, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
         Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !CategoryColumns(db, t).empty();
+        auto tables = TablesWhere(db, [&ctx](int t) {
+          return !ctx.classes.Category(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto cat = PickSelectColumn(ctx, *t, CategoryColumns(db, *t));
+        auto cat = PickSelectColumn(ctx, *t, ctx.classes.Category(*t));
         if (!cat) return std::nullopt;
         int64_t k = PickSmallCount(ctx);
         auto stmt = From(db, *t);
@@ -1299,14 +1379,14 @@ TemplateLibrary::TemplateLibrary() {
       [](const Database& db, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
         Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !CategoryColumns(db, t).empty() &&
-                 !NumericColumns(db, t).empty();
+        auto tables = TablesWhere(db, [&ctx](int t) {
+          return !ctx.classes.Category(t).empty() &&
+                 !ctx.classes.Numeric(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto cat = PickSelectColumn(ctx, *t, CategoryColumns(db, *t));
-        auto num = PickSelectColumn(ctx, *t, NumericColumns(db, *t));
+        auto cat = PickSelectColumn(ctx, *t, ctx.classes.Category(*t));
+        auto num = PickSelectColumn(ctx, *t, ctx.classes.Numeric(*t));
         if (!cat || !num) return std::nullopt;
         auto v = PickThreshold(ctx, *t, *num);
         if (!v) return std::nullopt;
@@ -1335,14 +1415,14 @@ TemplateLibrary::TemplateLibrary() {
       [](const Database& db, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
         Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !CategoryColumns(db, t).empty() &&
-                 !NumericColumns(db, t).empty();
+        auto tables = TablesWhere(db, [&ctx](int t) {
+          return !ctx.classes.Category(t).empty() &&
+                 !ctx.classes.Numeric(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto cat = PickSelectColumn(ctx, *t, CategoryColumns(db, *t));
-        auto num = PickFilterColumn(ctx, *t, NumericColumns(db, *t));
+        auto cat = PickSelectColumn(ctx, *t, ctx.classes.Category(*t));
+        auto num = PickFilterColumn(ctx, *t, ctx.classes.Numeric(*t));
         if (!cat || !num) return std::nullopt;
         auto v = PickThreshold(ctx, *t, *num);
         if (!v) return std::nullopt;

@@ -25,6 +25,49 @@ struct TemplateInstance {
   std::vector<std::string> value_strings;
 };
 
+/// Column classes of one database as slot filling reads them: per table
+/// the text, numeric, category and date columns (id-like columns never
+/// qualify), and which columns are keys. A table is classified on its
+/// first use and kept, so one request scans each table's schema and rows
+/// at most once rather than on every slot. Not thread-safe: an instance
+/// serves one request (or one data-generation instantiation).
+class ColumnClasses {
+ public:
+  explicit ColumnClasses(const sql::Database& db);
+
+  const std::vector<int>& Text(int table) { return Classified(table).text; }
+  const std::vector<int>& Numeric(int table) {
+    return Classified(table).numeric;
+  }
+  /// Text columns holding YYYY-MM-DD values (judged by the first non-null
+  /// value).
+  const std::vector<int>& Date(int table) { return Classified(table).date; }
+  /// Text columns with repeated values — good GROUP BY / equality keys.
+  const std::vector<int>& Category(int table);
+  /// Primary key, or either side of a foreign key.
+  bool IsKey(int table, int column) {
+    return Classified(table).key[static_cast<size_t>(column)];
+  }
+
+ private:
+  struct TableClasses {
+    bool classified = false;
+    std::vector<int> text, numeric, date;
+    std::vector<bool> key;
+    std::optional<std::vector<int>> category;  // needs a full row scan
+  };
+  /// Lower-cased foreign key endpoints, for case-insensitive matching.
+  struct KeyPair {
+    std::string table, column, ref_table, ref_column;
+  };
+
+  TableClasses& Classified(int table);
+
+  const sql::Database& db_;
+  std::vector<KeyPair> foreign_keys_;
+  std::vector<TableClasses> tables_;
+};
+
 /// Optional guidance that biases slot filling when a template is
 /// re-instantiated by the *generator* (rather than sampled randomly by the
 /// benchmark builder). All scores are "higher is better"; when a callback
@@ -55,6 +98,10 @@ struct SlotGuidance {
   /// the question; used to order multi-column select lists the way the
   /// question lists them.
   std::function<double(int table, int column)> mention_position;
+  /// The request's column classes; the generator builds them once per
+  /// request. Null in data generation, where each instantiation
+  /// classifies for itself.
+  ColumnClasses* classes = nullptr;
   /// Numeric literals mentioned in the question, in order of appearance.
   std::vector<double> numbers;
   /// Zero-mean noise added to slot scores; the capacity knob of small

@@ -38,9 +38,9 @@ void TemplateLibrary::RegisterJoinTemplates() {
         Ctx ctx{db, rng, g};
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
-        auto sel_cands = TextColumns(db, edge->child_t);
-        auto filt_cands = CategoryColumns(db, edge->parent_t);
-        if (filt_cands.empty()) filt_cands = TextColumns(db, edge->parent_t);
+        auto sel_cands = ctx.classes.Text(edge->child_t);
+        auto filt_cands = ctx.classes.Category(edge->parent_t);
+        if (filt_cands.empty()) filt_cands = ctx.classes.Text(edge->parent_t);
         auto sel = PickSelectColumn(ctx, edge->child_t, sel_cands);
         auto filt = PickFilterColumn(ctx, edge->parent_t, filt_cands);
         if (!sel || !filt) return std::nullopt;
@@ -82,9 +82,9 @@ void TemplateLibrary::RegisterJoinTemplates() {
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
         auto sel = PickSelectColumn(ctx, edge->parent_t,
-                                    TextColumns(db, edge->parent_t));
+                                    ctx.classes.Text(edge->parent_t));
         auto filt = PickFilterColumn(ctx, edge->child_t,
-                                     NumericColumns(db, edge->child_t));
+                                     ctx.classes.Numeric(edge->child_t));
         if (!sel || !filt) return std::nullopt;
         auto v = PickThreshold(ctx, edge->child_t, *filt);
         if (!v) return std::nullopt;
@@ -121,9 +121,9 @@ void TemplateLibrary::RegisterJoinTemplates() {
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
         auto c1 = PickSelectColumn(ctx, edge->child_t,
-                                   TextColumns(db, edge->child_t));
+                                   ctx.classes.Text(edge->child_t));
         auto c2 = PickSelectColumn(ctx, edge->parent_t,
-                                   TextColumns(db, edge->parent_t));
+                                   ctx.classes.Text(edge->parent_t));
         if (!c1 || !c2) return std::nullopt;
         auto stmt = From(db, edge->child_t);
         AddSelect(*stmt, ColRef(db, edge->child_t, *c1, true));
@@ -151,7 +151,7 @@ void TemplateLibrary::RegisterJoinTemplates() {
         Ctx ctx{db, rng, g};
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
-        auto filt_cands = TextColumns(db, edge->parent_t);
+        auto filt_cands = ctx.classes.Text(edge->parent_t);
         auto filt = PickFilterColumn(ctx, edge->parent_t, filt_cands);
         if (!filt) return std::nullopt;
         auto v = SampleCell(ctx, edge->parent_t, *filt);
@@ -188,7 +188,7 @@ void TemplateLibrary::RegisterJoinTemplates() {
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
         auto label = PickSelectColumn(ctx, edge->parent_t,
-                                      TextColumns(db, edge->parent_t));
+                                      ctx.classes.Text(edge->parent_t));
         if (!label) return std::nullopt;
         auto stmt = From(db, edge->child_t);
         AddSelect(*stmt, ColRef(db, edge->parent_t, *label, true));
@@ -216,7 +216,7 @@ void TemplateLibrary::RegisterJoinTemplates() {
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
         auto label = PickSelectColumn(ctx, edge->parent_t,
-                                      TextColumns(db, edge->parent_t));
+                                      ctx.classes.Text(edge->parent_t));
         if (!label) return std::nullopt;
         auto stmt = From(db, edge->child_t);
         AddSelect(*stmt, ColRef(db, edge->parent_t, *label, true));
@@ -254,9 +254,9 @@ void TemplateLibrary::RegisterJoinTemplates() {
           auto edge = PickJoinEdge(ctx);
           if (!edge) return std::nullopt;
           auto num = PickSelectColumn(ctx, edge->child_t,
-                                      NumericColumns(db, edge->child_t));
+                                      ctx.classes.Numeric(edge->child_t));
           auto filt = PickFilterColumn(ctx, edge->parent_t,
-                                       TextColumns(db, edge->parent_t));
+                                       ctx.classes.Text(edge->parent_t));
           if (!num || !filt) return std::nullopt;
           auto v = SampleCell(ctx, edge->parent_t, *filt);
           if (!v) return std::nullopt;
@@ -295,7 +295,7 @@ void TemplateLibrary::RegisterJoinTemplates() {
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
         auto label = PickSelectColumn(ctx, edge->parent_t,
-                                      TextColumns(db, edge->parent_t));
+                                      ctx.classes.Text(edge->parent_t));
         if (!label) return std::nullopt;
         int64_t k = PickSmallCount(ctx);
         auto stmt = From(db, edge->child_t);
@@ -328,9 +328,9 @@ void TemplateLibrary::RegisterJoinTemplates() {
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
         auto label = PickSelectColumn(ctx, edge->parent_t,
-                                      TextColumns(db, edge->parent_t));
+                                      ctx.classes.Text(edge->parent_t));
         auto num = PickFilterColumn(ctx, edge->child_t,
-                                    NumericColumns(db, edge->child_t));
+                                    ctx.classes.Numeric(edge->child_t));
         if (!label || !num) return std::nullopt;
         auto stmt = From(db, edge->child_t);
         AddSelect(*stmt, ColRef(db, edge->parent_t, *label, true));
@@ -365,11 +365,11 @@ void TemplateLibrary::RegisterJoinTemplates() {
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
         auto sel = PickSelectColumn(ctx, edge->child_t,
-                                    TextColumns(db, edge->child_t));
+                                    ctx.classes.Text(edge->child_t));
         auto cat = PickFilterColumn(ctx, edge->parent_t,
-                                    TextColumns(db, edge->parent_t));
+                                    ctx.classes.Text(edge->parent_t));
         auto num = PickFilterColumn(ctx, edge->child_t,
-                                    NumericColumns(db, edge->child_t));
+                                    ctx.classes.Numeric(edge->child_t));
         if (!sel || !cat || !num) return std::nullopt;
         auto v1 = SampleCell(ctx, edge->parent_t, *cat);
         auto v2 = PickThreshold(ctx, edge->child_t, *num);
@@ -414,11 +414,11 @@ void TemplateLibrary::RegisterJoinTemplates() {
         Ctx ctx{db, rng, g};
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
-        auto cat_cands = CategoryColumns(db, edge->child_t);
-        if (cat_cands.empty()) cat_cands = TextColumns(db, edge->child_t);
+        auto cat_cands = ctx.classes.Category(edge->child_t);
+        if (cat_cands.empty()) cat_cands = ctx.classes.Text(edge->child_t);
         auto cat = PickSelectColumn(ctx, edge->child_t, cat_cands);
         auto filt = PickFilterColumn(ctx, edge->parent_t,
-                                     TextColumns(db, edge->parent_t));
+                                     ctx.classes.Text(edge->parent_t));
         if (!cat || !filt) return std::nullopt;
         auto v = SampleCell(ctx, edge->parent_t, *filt);
         if (!v) return std::nullopt;

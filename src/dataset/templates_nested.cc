@@ -18,7 +18,7 @@ void TemplateLibrary::RegisterSubqueryAndSetTemplates() {
           auto edge = PickJoinEdge(ctx);
           if (!edge) return std::nullopt;
           auto label = PickSelectColumn(ctx, edge->parent_t,
-                                        TextColumns(db, edge->parent_t));
+                                        ctx.classes.Text(edge->parent_t));
           if (!label) return std::nullopt;
           auto stmt = From(db, edge->parent_t);
           AddSelect(*stmt, ColRef(db, edge->parent_t, *label, false));
@@ -61,14 +61,14 @@ void TemplateLibrary::RegisterSubqueryAndSetTemplates() {
         [above](const Database& db, Rng& rng,
                 const SlotGuidance* g) -> std::optional<TemplateInstance> {
           Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db](int t) {
-            return !TextColumns(db, t).empty() &&
-                   !NumericColumns(db, t).empty();
+          auto tables = TablesWhere(db, [&ctx](int t) {
+            return !ctx.classes.Text(t).empty() &&
+                   !ctx.classes.Numeric(t).empty();
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-          auto num = PickFilterColumn(ctx, *t, NumericColumns(db, *t));
+          auto sel = PickSelectColumn(ctx, *t, ctx.classes.Text(*t));
+          auto num = PickFilterColumn(ctx, *t, ctx.classes.Numeric(*t));
           if (!sel || !num) return std::nullopt;
           auto stmt = From(db, *t);
           AddSelect(*stmt, ColRef(db, *t, *sel, false));
@@ -106,14 +106,14 @@ void TemplateLibrary::RegisterSubqueryAndSetTemplates() {
         [op](const Database& db, Rng& rng,
              const SlotGuidance* g) -> std::optional<TemplateInstance> {
           Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db](int t) {
-            return !TextColumns(db, t).empty() &&
-                   CategoryColumns(db, t).size() >= 2;
+          auto tables = TablesWhere(db, [&ctx](int t) {
+            return !ctx.classes.Text(t).empty() &&
+                   ctx.classes.Category(t).size() >= 2;
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-          auto cats = CategoryColumns(db, *t);
+          auto sel = PickSelectColumn(ctx, *t, ctx.classes.Text(*t));
+          auto cats = ctx.classes.Category(*t);
           auto c1 = PickFilterColumn(ctx, *t, cats);
           if (!sel || !c1) return std::nullopt;
           cats.erase(std::remove(cats.begin(), cats.end(), *c1), cats.end());
@@ -177,12 +177,12 @@ void TemplateLibrary::RegisterSubqueryAndSetTemplates() {
       [](const Database& db, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
         Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return CategoryColumns(db, t).size() >= 2;
+        auto tables = TablesWhere(db, [&ctx](int t) {
+          return ctx.classes.Category(t).size() >= 2;
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto cats = CategoryColumns(db, *t);
+        auto cats = ctx.classes.Category(*t);
         auto sel = PickSelectColumn(ctx, *t, cats);
         if (!sel) return std::nullopt;
         cats.erase(std::remove(cats.begin(), cats.end(), *sel), cats.end());
@@ -214,13 +214,14 @@ void TemplateLibrary::RegisterSubqueryAndSetTemplates() {
       [](const Database& db, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
         Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !TextColumns(db, t).empty() || !NumericColumns(db, t).empty();
+        auto tables = TablesWhere(db, [&ctx](int t) {
+          return !ctx.classes.Text(t).empty() ||
+                 !ctx.classes.Numeric(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto cands = TextColumns(db, *t);
-        for (int n : NumericColumns(db, *t)) cands.push_back(n);
+        auto cands = ctx.classes.Text(*t);
+        for (int n : ctx.classes.Numeric(*t)) cands.push_back(n);
         auto c = PickFilterColumn(ctx, *t, cands);
         if (!c) return std::nullopt;
         auto stmt = From(db, *t);

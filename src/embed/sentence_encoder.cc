@@ -83,17 +83,47 @@ std::vector<float> SentenceEncoder::Encode(std::string_view text) const {
   return vec;
 }
 
+namespace {
+
+double SquaredNorm(const std::vector<float>& v) {
+  double n = 0;
+  for (float x : v) n += static_cast<double>(x) * x;
+  return n;
+}
+
+}  // namespace
+
+NormedEmbedding::NormedEmbedding(std::vector<float> v)
+    : values(std::move(v)), norm2(SquaredNorm(values)) {
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (values[i] != 0.0f) nonzero.push_back(static_cast<uint32_t>(i));
+  }
+}
+
 double CosineSimilarity(const std::vector<float>& a,
                         const std::vector<float>& b) {
   CODES_CHECK(a.size() == b.size());
-  double dot = 0, na = 0, nb = 0;
+  double na = SquaredNorm(a);
+  double nb = SquaredNorm(b);
+  if (na == 0 || nb == 0) return 0.0;
+  double dot = 0;
   for (size_t i = 0; i < a.size(); ++i) {
     dot += static_cast<double>(a[i]) * b[i];
-    na += static_cast<double>(a[i]) * a[i];
-    nb += static_cast<double>(b[i]) * b[i];
   }
-  if (na == 0 || nb == 0) return 0.0;
   return dot / std::sqrt(na * nb);
+}
+
+double CosineSimilarity(const NormedEmbedding& a, const NormedEmbedding& b) {
+  CODES_CHECK(a.values.size() == b.values.size());
+  if (a.norm2 == 0 || b.norm2 == 0) return 0.0;
+  // A term with a zero factor adds +-0.0, which never changes a running
+  // sum that starts at +0.0, so summing only the sparser side's nonzero
+  // terms, in ascending index order, is bit-identical to the dense loop.
+  const auto& idx =
+      a.nonzero.size() <= b.nonzero.size() ? a.nonzero : b.nonzero;
+  double dot = 0;
+  for (uint32_t i : idx) dot += static_cast<double>(a.values[i]) * b.values[i];
+  return dot / std::sqrt(a.norm2 * b.norm2);
 }
 
 }  // namespace codes

@@ -1,6 +1,7 @@
 #ifndef CODES_EMBED_SENTENCE_ENCODER_H_
 #define CODES_EMBED_SENTENCE_ENCODER_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -39,9 +40,24 @@ class SentenceEncoder {
   std::unordered_map<std::string, int> doc_freq_;
 };
 
+/// An embedding with its squared L2 norm, summed once in the order
+/// CosineSimilarity sums it, and the ascending indices of its nonzero
+/// values. Anchors, demonstrations and pool items are scored against many
+/// queries; with both cached, a comparison is one sparse dot product.
+struct NormedEmbedding {
+  NormedEmbedding() = default;
+  explicit NormedEmbedding(std::vector<float> v);
+
+  std::vector<float> values;
+  std::vector<uint32_t> nonzero;
+  double norm2 = 0.0;
+};
+
 /// Cosine similarity of two equal-length vectors; 0 for zero vectors.
 double CosineSimilarity(const std::vector<float>& a,
                         const std::vector<float>& b);
+/// The same similarity from cached norms; bit-identical to the above.
+double CosineSimilarity(const NormedEmbedding& a, const NormedEmbedding& b);
 
 }  // namespace codes
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 
 #include "common/string_util.h"
+#include "common/trace.h"
 #include "dataset/db_generator.h"
 #include "dataset/domains.h"
 #include "dataset/perturb.h"
@@ -136,6 +138,15 @@ double FirstMentionPosition(const std::string& phrase,
   return 1.0;
 }
 
+/// Identity of a demonstration for the model's pool lookup: the question
+/// (what is encoded) and the SQL (what fixes the template id).
+std::string DemoKey(const Text2SqlSample& demo) {
+  std::string key = demo.question;
+  key += '\0';
+  key += demo.sql;
+  return key;
+}
+
 }  // namespace
 
 CodesModel::CodesModel(ModelSize size, const NgramLm* lm)
@@ -180,9 +191,9 @@ void CodesModel::RebuildSkeletonAnchors() {
         if (close == std::string::npos) break;
         masked.replace(open, close - open + 1, "_");
       }
-      anchor.question_embedding = encoder_.Encode(masked);
+      anchor.question_embedding = NormedEmbedding(encoder_.Encode(masked));
       anchor.pattern_embedding =
-          encoder_.Encode(ExtractQuestionPattern(masked));
+          NormedEmbedding(encoder_.Encode(ExtractQuestionPattern(masked)));
       anchor.weight = 0.5;
       anchors_[static_cast<size_t>(tid)].push_back(std::move(anchor));
     }
@@ -194,9 +205,9 @@ void CodesModel::RebuildSkeletonAnchors() {
       if (!inst.has_value()) continue;
       std::string masked = MaskSchemaWords(inst->question, db);
       TemplateAnchor anchor;
-      anchor.question_embedding = encoder_.Encode(masked);
+      anchor.question_embedding = NormedEmbedding(encoder_.Encode(masked));
       anchor.pattern_embedding =
-          encoder_.Encode(ExtractQuestionPattern(masked));
+          NormedEmbedding(encoder_.Encode(ExtractQuestionPattern(masked)));
       anchor.weight = 0.55;
       anchors_[static_cast<size_t>(tid)].push_back(std::move(anchor));
       // Paraphrase knowledge: a pre-trained LM also recognizes common
@@ -208,9 +219,9 @@ void CodesModel::RebuildSkeletonAnchors() {
       }
       if (paraphrased != masked) {
         TemplateAnchor twin;
-        twin.question_embedding = encoder_.Encode(paraphrased);
-        twin.pattern_embedding =
-            encoder_.Encode(ExtractQuestionPattern(paraphrased));
+        twin.question_embedding = NormedEmbedding(encoder_.Encode(paraphrased));
+        twin.pattern_embedding = NormedEmbedding(
+            encoder_.Encode(ExtractQuestionPattern(paraphrased)));
         twin.weight = 0.5;
         anchors_[static_cast<size_t>(tid)].push_back(std::move(twin));
       }
@@ -244,6 +255,7 @@ void CodesModel::FineTune(const std::vector<Text2SqlSample>& train,
     for (size_t i = 0; i < limit; ++i) questions.push_back(train[i].question);
     encoder_.FitIdf(questions);
     RebuildSkeletonAnchors();
+    demo_features_.clear();  // encoded in the old embedding space
   }
   template_prior_.assign(static_cast<size_t>(lib.size()), 0.0);
 
@@ -278,8 +290,8 @@ void CodesModel::FineTune(const std::vector<Text2SqlSample>& train,
     a.count += 1;
     if (exemplars[static_cast<size_t>(tid)] < kExemplarsPerTemplate) {
       TemplateAnchor anchor;
-      anchor.question_embedding = std::move(q);
-      anchor.pattern_embedding = std::move(p);
+      anchor.question_embedding = NormedEmbedding(std::move(q));
+      anchor.pattern_embedding = NormedEmbedding(std::move(p));
       anchor.weight = 1.0;
       anchors_[static_cast<size_t>(tid)].push_back(std::move(anchor));
       exemplars[static_cast<size_t>(tid)] += 1;
@@ -287,15 +299,16 @@ void CodesModel::FineTune(const std::vector<Text2SqlSample>& train,
   }
   for (size_t tid = 0; tid < acc.size(); ++tid) {
     if (acc[tid].count == 0) continue;
-    TemplateAnchor centroid;
-    centroid.question_embedding.resize(acc[tid].question_sum.size());
-    centroid.pattern_embedding.resize(acc[tid].pattern_sum.size());
-    for (size_t d = 0; d < acc[tid].question_sum.size(); ++d) {
-      centroid.question_embedding[d] =
+    std::vector<float> question(acc[tid].question_sum.size());
+    std::vector<float> pattern(acc[tid].pattern_sum.size());
+    for (size_t d = 0; d < question.size(); ++d) {
+      question[d] =
           static_cast<float>(acc[tid].question_sum[d] / acc[tid].count);
-      centroid.pattern_embedding[d] =
-          static_cast<float>(acc[tid].pattern_sum[d] / acc[tid].count);
+      pattern[d] = static_cast<float>(acc[tid].pattern_sum[d] / acc[tid].count);
     }
+    TemplateAnchor centroid;
+    centroid.question_embedding = NormedEmbedding(std::move(question));
+    centroid.pattern_embedding = NormedEmbedding(std::move(pattern));
     centroid.weight = 1.0;
     anchors_[tid].push_back(std::move(centroid));
     template_prior_[tid] = 0.02 * std::log(1.0 + acc[tid].count);
@@ -303,9 +316,29 @@ void CodesModel::FineTune(const std::vector<Text2SqlSample>& train,
   fine_tuned_ = true;
 }
 
+CodesModel::DemoFeatures CodesModel::EncodeDemonstration(
+    const Text2SqlSample& demo) const {
+  DemoFeatures features;
+  features.template_id = GlobalTemplates().IdentifyTemplate(demo.sql);
+  if (features.template_id >= 0) {
+    features.question = NormedEmbedding(encoder_.Encode(demo.question));
+    features.pattern = NormedEmbedding(
+        encoder_.Encode(ExtractQuestionPattern(demo.question)));
+  }
+  return features;
+}
+
+void CodesModel::SetDemonstrationPool(
+    const std::vector<Text2SqlSample>& pool) {
+  demo_features_.clear();
+  for (const auto& demo : pool) {
+    demo_features_.try_emplace(DemoKey(demo), EncodeDemonstration(demo));
+  }
+}
+
 double CodesModel::TemplateScore(int template_id,
-                                 const std::vector<float>& q_emb,
-                                 const std::vector<float>& p_emb) const {
+                                 const NormedEmbedding& q_emb,
+                                 const NormedEmbedding& p_emb) const {
   double best = 0.0;
   for (const auto& anchor : anchors_[static_cast<size_t>(template_id)]) {
     double sim = std::max(CosineSimilarity(q_emb, anchor.question_embedding),
@@ -319,55 +352,48 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
     const GenerationInput& input, uint64_t seed, bool mark_executable) const {
   const TemplateLibrary& lib = GlobalTemplates();
   const sql::Database& db = *input.db;
+  const sql::DatabaseSchema& schema = db.schema();
   const DatabasePrompt& prompt = *input.prompt;
   Rng rng(seed ^ 0x5EEDC0DE5ULL);
 
-  std::string masked = MaskSchemaWords(input.question, db);
-  std::vector<float> q_emb = encoder_.Encode(masked);
-  std::vector<float> p_emb =
-      encoder_.Encode(ExtractQuestionPattern(masked));
-  // Linking evidence sees question + external knowledge; template scoring
-  // above deliberately sees the bare question only.
-  std::string link_text = input.question;
-  if (!input.external_knowledge.empty()) {
-    link_text += " ; " + input.external_knowledge;
-  }
-  std::vector<std::string> q_tokens =
-      ExpandWithSynonyms(WordTokens(link_text));
-  std::vector<std::string> q_stems;
-  q_stems.reserve(q_tokens.size());
-  for (const auto& t : q_tokens) q_stems.push_back(StemToken(t));
-
   // ---- stage 1: sketch selection
   std::vector<double> template_scores(static_cast<size_t>(lib.size()), 0.0);
-  for (int tid = 0; tid < lib.size(); ++tid) {
-    template_scores[static_cast<size_t>(tid)] =
-        TemplateScore(tid, q_emb, p_emb);
-  }
-  // In-context demonstrations sharpen template selection. Evidence is
-  // aggregated as a per-template *max* over demos (so extra, less similar
-  // demos never outvote the best match — more shots can only widen
-  // coverage), thresholded so weak matches add nothing.
-  if (!input.demonstrations.empty()) {
-    std::vector<float> raw_q = encoder_.Encode(input.question);
-    std::vector<float> raw_p =
-        encoder_.Encode(ExtractQuestionPattern(input.question));
-    std::vector<double> demo_best(static_cast<size_t>(lib.size()), 0.0);
-    for (const Text2SqlSample* demo : input.demonstrations) {
-      int tid = lib.IdentifyTemplate(demo->sql);
-      if (tid < 0) continue;
-      std::vector<float> demo_q = encoder_.Encode(demo->question);
-      std::vector<float> demo_p =
-          encoder_.Encode(ExtractQuestionPattern(demo->question));
-      double sim = std::max(CosineSimilarity(raw_q, demo_q),
-                            CosineSimilarity(raw_p, demo_p));
-      double evidence = std::max(0.0, sim - 0.35) * 1.3;
-      demo_best[static_cast<size_t>(tid)] =
-          std::max(demo_best[static_cast<size_t>(tid)], evidence);
-    }
+  {
+    CODES_TRACE_SPAN(template_span, "generator.template_score");
+    std::string masked = MaskSchemaWords(input.question, db);
+    NormedEmbedding q_emb(encoder_.Encode(masked));
+    NormedEmbedding p_emb(encoder_.Encode(ExtractQuestionPattern(masked)));
     for (int tid = 0; tid < lib.size(); ++tid) {
-      template_scores[static_cast<size_t>(tid)] +=
-          demo_best[static_cast<size_t>(tid)];
+      template_scores[static_cast<size_t>(tid)] =
+          TemplateScore(tid, q_emb, p_emb);
+    }
+    // In-context demonstrations sharpen template selection. Evidence is
+    // aggregated as a per-template *max* over demos (so extra, less
+    // similar demos never outvote the best match — more shots can only
+    // widen coverage), thresholded so weak matches add nothing.
+    if (!input.demonstrations.empty()) {
+      NormedEmbedding raw_q(encoder_.Encode(input.question));
+      NormedEmbedding raw_p(
+          encoder_.Encode(ExtractQuestionPattern(input.question)));
+      std::vector<double> demo_best(static_cast<size_t>(lib.size()), 0.0);
+      for (const Text2SqlSample* demo : input.demonstrations) {
+        auto it = demo_features_.find(DemoKey(*demo));
+        DemoFeatures computed;
+        const DemoFeatures& features =
+            it != demo_features_.end()
+                ? it->second
+                : (computed = EncodeDemonstration(*demo));
+        if (features.template_id < 0) continue;
+        double sim = std::max(CosineSimilarity(raw_q, features.question),
+                              CosineSimilarity(raw_p, features.pattern));
+        double evidence = std::max(0.0, sim - 0.35) * 1.3;
+        double& best = demo_best[static_cast<size_t>(features.template_id)];
+        best = std::max(best, evidence);
+      }
+      for (int tid = 0; tid < lib.size(); ++tid) {
+        template_scores[static_cast<size_t>(tid)] +=
+            demo_best[static_cast<size_t>(tid)];
+      }
     }
   }
 
@@ -391,21 +417,53 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
   });
 
   // ---- stage 2: slot guidance from the prompt
+  // Linking evidence sees question + external knowledge; template scoring
+  // above deliberately sees the bare question only.
+  std::string link_text = input.question;
+  if (!input.external_knowledge.empty()) {
+    link_text += " ; " + input.external_knowledge;
+  }
+  std::vector<std::string> q_tokens =
+      ExpandWithSynonyms(WordTokens(link_text));
+  std::vector<std::string> q_stems;
+  q_stems.reserve(q_tokens.size());
+  for (const auto& t : q_tokens) q_stems.push_back(StemToken(t));
   std::vector<std::string> quoted = QuotedSpans(input.question);
 
-  // A column is visible to the model if the schema filter kept it OR a
-  // retrieved value names it in the matched-values section of the prompt.
-  auto column_visible = [&](int t, int c) -> bool {
-    if (prompt.ColumnKept(t, c)) return true;
-    for (const auto& mv : prompt.matched_values) {
-      if (mv.table == t && mv.column == c && mv.score >= 0.85) return true;
-    }
-    return false;
+  // Every link score below is a pure function of (request, table, column),
+  // so each is computed on first use and kept in a flat per-column slot.
+  std::vector<size_t> column_offset(schema.tables.size() + 1, 0);
+  for (size_t t = 0; t < schema.tables.size(); ++t) {
+    column_offset[t + 1] = column_offset[t] + schema.tables[t].columns.size();
+  }
+  auto slot = [&column_offset](int t, int c) {
+    return column_offset[static_cast<size_t>(t)] + static_cast<size_t>(c);
   };
+  constexpr double kUnset = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> base_scores(column_offset.back(), kUnset);
+  std::vector<double> mention_positions(column_offset.back(), kUnset);
+  std::vector<double> table_scores(schema.tables.size(), kUnset);
+
+  // Best strong (>= 0.85) retrieved-value score per column. A column is
+  // visible to the model if the schema filter kept it OR such a value
+  // names it in the matched-values section of the prompt.
+  std::vector<double> value_hits(column_offset.back(), 0.0);
+  for (const auto& mv : prompt.matched_values) {
+    if (mv.score < 0.85 || mv.table < 0 ||
+        mv.table >= static_cast<int>(schema.tables.size()) || mv.column < 0 ||
+        mv.column >= static_cast<int>(schema.tables[mv.table].columns.size())) {
+      continue;
+    }
+    double& best = value_hits[slot(mv.table, mv.column)];
+    best = std::max(best, mv.score);
+  }
+  auto value_hit = [&](int t, int c) { return value_hits[slot(t, c)]; };
 
   auto column_base_score = [&](int t, int c) -> double {
-    if (!column_visible(t, c)) return -1e9;
-    const auto& col = db.schema().tables[t].columns[c];
+    double& memo = base_scores[slot(t, c)];
+    if (!std::isnan(memo)) return memo;
+    if (!prompt.ColumnKept(t, c) && value_hit(t, c) <= 0.0) return memo = -1e9;
+    const auto& col = schema.tables[t].columns[c];
     double score = PhraseCoverage(col.name, q_tokens) * 1.2;
     if (prompt.comments_included && !col.comment.empty()) {
       score = std::max(score, PhraseCoverage(col.comment, q_tokens) * 1.3);
@@ -413,25 +471,29 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
     // Abbreviation guessing: "npgr" links to "net profit growth rate".
     if (InitialsMatch(col.name, q_tokens)) score = std::max(score, 0.9);
     score += 0.15 * LcsMatchDegree(ColumnPhrase(col), input.question);
-    return score;
+    return memo = score;
   };
 
-  auto value_hit = [&](int t, int c) -> double {
-    double best = 0.0;
-    for (const auto& mv : prompt.matched_values) {
-      if (mv.table == t && mv.column == c && mv.score >= 0.85) {
-        best = std::max(best, mv.score);
-      }
-    }
-    return best;
+  auto mention_position = [&](int t, int c) -> double {
+    double& memo = mention_positions[slot(t, c)];
+    if (!std::isnan(memo)) return memo;
+    const auto& col = schema.tables[t].columns[c];
+    return memo = FirstMentionPosition(
+               prompt.comments_included && !col.comment.empty() ? col.comment
+                                                                : col.name,
+               q_stems);
   };
 
+  ColumnClasses classes(db);
   SlotGuidance guidance;
+  guidance.classes = &classes;
   guidance.noise = noise * 0.25;
   guidance.numbers = QuestionNumbers(input.question);
   guidance.table_score = [&](int t) -> double {
-    if (!prompt.TableKept(t)) return -1e9;
-    const auto& table = db.schema().tables[t];
+    double& memo = table_scores[static_cast<size_t>(t)];
+    if (!std::isnan(memo)) return memo;
+    if (!prompt.TableKept(t)) return memo = -1e9;
+    const auto& table = schema.tables[t];
     double score = PhraseCoverage(table.name, q_tokens) * 1.5;
     if (prompt.comments_included && !table.comment.empty()) {
       score = std::max(score, PhraseCoverage(table.comment, q_tokens));
@@ -442,19 +504,15 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
                   value_hit(t, static_cast<int>(c));
       best_col = std::max(best_col, cs);
     }
-    return score + 0.5 * std::max(0.0, best_col);
+    return memo = score + 0.5 * std::max(0.0, best_col);
   };
   guidance.select_column_score = [&](int t, int c) -> double {
     double base = column_base_score(t, c);
     if (base <= -1e8) return base;
-    const auto& col = db.schema().tables[t].columns[c];
-    double pos = FirstMentionPosition(
-        prompt.comments_included && !col.comment.empty() ? col.comment
-                                                         : col.name,
-        q_stems);
     // A column mentioned next to a value is being *filtered*, not
     // selected; selected columns are mentioned first in the question.
-    return base - 0.9 * value_hit(t, c) + 0.25 * (1.0 - pos);
+    return base - 0.9 * value_hit(t, c) +
+           0.25 * (1.0 - mention_position(t, c));
   };
   guidance.filter_column_score = [&](int t, int c) -> double {
     double base = column_base_score(t, c);
@@ -467,7 +525,7 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
   // instantiation.
   std::unordered_map<int64_t, size_t> value_cursor;
   guidance.filter_value = [&](int t, int c) -> std::optional<sql::Value> {
-    const auto& col = db.schema().tables[t].columns[c];
+    const auto& col = schema.tables[t].columns[c];
     // Candidate list: retrieved values for this column (exact stored
     // representation), then raw quoted spans, then question numbers for
     // numeric columns.
@@ -522,7 +580,7 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
     if (!prompt.representative_values_included) return std::nullopt;
     if (!prompt.ColumnKept(t, c)) return std::nullopt;
     auto values = db.DistinctValues(
-        db.schema().tables[t].name, db.schema().tables[t].columns[c].name,
+        schema.tables[t].name, schema.tables[t].columns[c].name,
         static_cast<size_t>(prompt.representative_value_count));
     if (values.empty()) return std::nullopt;
     return values[0];
@@ -531,90 +589,77 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
     return prompt.keys_included && prompt.TableKept(child_t) &&
            prompt.TableKept(parent_t);
   };
-  guidance.mention_position = [&](int t, int c) -> double {
-    const auto& col = db.schema().tables[t].columns[c];
-    return FirstMentionPosition(
-        prompt.comments_included && !col.comment.empty() ? col.comment
-                                                         : col.name,
-        q_stems);
-  };
+  guidance.mention_position = mention_position;
 
   // ---- stage 3: instantiate + rerank
   std::vector<ScoredCandidate> beam;
-  int tried = 0;
-  for (const auto& [tscore, tid] : ranked) {
-    if (tried >= profile_.candidate_templates) break;
-    ++tried;
-    value_cursor.clear();
-    Rng inst_rng = rng.Fork();
-    auto inst = lib.Instantiate(tid, db, inst_rng, &guidance);
-    if (!inst.has_value()) continue;
+  {
+    CODES_TRACE_SPAN(instantiate_span, "generator.instantiate");
+    int tried = 0;
+    for (const auto& [tscore, tid] : ranked) {
+      if (tried >= profile_.candidate_templates) break;
+      ++tried;
+      value_cursor.clear();
+      Rng inst_rng = rng.Fork();
+      auto inst = lib.Instantiate(tid, db, inst_rng, &guidance);
+      if (!inst.has_value()) continue;
 
-    // Linking score: a centered *sum* of evidence for every schema item
-    // the candidate uses. Columns/tables the question mentions add credit;
-    // ones it never mentions subtract, so a candidate dragging in an
-    // unrelated table loses to a simpler one. Key columns are structural
-    // and excluded.
-    double link = 0.0;
-    for (const auto& item : inst->used_items) {
-      auto t = db.schema().FindTable(item.table);
-      if (!t) continue;
-      if (item.column.empty()) {
-        // Table-level evidence.
-        const auto& table = db.schema().tables[*t];
-        double tc = PhraseCoverage(table.name, q_tokens);
-        if (prompt.comments_included && !table.comment.empty()) {
-          tc = std::max(tc, PhraseCoverage(table.comment, q_tokens));
+      // Linking score: a centered *sum* of evidence for every schema item
+      // the candidate uses. Columns/tables the question mentions add credit;
+      // ones it never mentions subtract, so a candidate dragging in an
+      // unrelated table loses to a simpler one. Key columns are structural
+      // and excluded.
+      double link = 0.0;
+      for (const auto& item : inst->used_items) {
+        auto t = schema.FindTable(item.table);
+        if (!t) continue;
+        if (item.column.empty()) {
+          // Table-level evidence.
+          const auto& table = schema.tables[*t];
+          double tc = PhraseCoverage(table.name, q_tokens);
+          if (prompt.comments_included && !table.comment.empty()) {
+            tc = std::max(tc, PhraseCoverage(table.comment, q_tokens));
+          }
+          link += std::min(tc, 1.0) * 0.7 - 0.3;
+          continue;
         }
-        link += std::min(tc, 1.0) * 0.7 - 0.3;
-        continue;
-      }
-      auto c = db.schema().tables[*t].FindColumn(item.column);
-      if (!c) continue;
-      const auto& col = db.schema().tables[*t].columns[*c];
-      bool is_key = col.is_primary_key;
-      for (const auto& fk : db.schema().foreign_keys) {
-        if ((ToLower(fk.table) == ToLower(item.table) &&
-             ToLower(fk.column) == ToLower(col.name)) ||
-            (ToLower(fk.ref_table) == ToLower(item.table) &&
-             ToLower(fk.ref_column) == ToLower(col.name))) {
-          is_key = true;
+        auto c = schema.tables[*t].FindColumn(item.column);
+        if (!c || classes.IsKey(*t, *c)) continue;
+        double cs = column_base_score(*t, *c) + value_hit(*t, *c);
+        if (cs > -1e8) {
+          link += std::min(std::max(cs, 0.0), 1.8) - 0.5;
         }
       }
-      if (is_key) continue;
-      double cs = column_base_score(*t, *c) + value_hit(*t, *c);
-      if (cs > -1e8) {
-        link += std::min(std::max(cs, 0.0), 1.8) - 0.5;
-      }
-    }
-    link *= 0.5;
+      link *= 0.5;
 
-    // Value-arity fit: a candidate should consume as many literal values
-    // as the question mentions (two quoted values want an OR/IN shape, a
-    // "top 3" wants a LIMIT, a question with no values wants none).
-    int cand_text_values = 0;
-    int cand_numbers = 0;
-    for (const auto& vs : inst->value_strings) {
-      if (IsNumberToken(vs)) {
-        ++cand_numbers;
-      } else {
-        ++cand_text_values;
+      // Value-arity fit: a candidate should consume as many literal values
+      // as the question mentions (two quoted values want an OR/IN shape, a
+      // "top 3" wants a LIMIT, a question with no values wants none).
+      int cand_text_values = 0;
+      int cand_numbers = 0;
+      for (const auto& vs : inst->value_strings) {
+        if (IsNumberToken(vs)) {
+          ++cand_numbers;
+        } else {
+          ++cand_text_values;
+        }
       }
-    }
-    double arity_penalty =
-        0.35 * std::abs(static_cast<int>(quoted.size()) - cand_text_values) +
-        0.18 * std::abs(static_cast<int>(guidance.numbers.size()) -
-                        cand_numbers);
+      double arity_penalty =
+          0.35 * std::abs(static_cast<int>(quoted.size()) - cand_text_values) +
+          0.18 * std::abs(static_cast<int>(guidance.numbers.size()) -
+                          cand_numbers);
 
-    double lm_score = (lm_ != nullptr) ? lm_->AvgLogProb(inst->sql_text) : 0.0;
-    ScoredCandidate cand;
-    cand.sql = inst->sql_text;
-    cand.template_id = tid;
-    cand.score = profile_.template_weight * tscore +
-                 profile_.link_weight * link - arity_penalty +
-                 profile_.lm_weight * (lm_score / 4.0) +
-                 rng.Gaussian() * noise * 0.12;
-    beam.push_back(std::move(cand));
+      double lm_score =
+          (lm_ != nullptr) ? lm_->AvgLogProb(inst->sql_text) : 0.0;
+      ScoredCandidate cand;
+      cand.sql = inst->sql_text;
+      cand.template_id = tid;
+      cand.score = profile_.template_weight * tscore +
+                   profile_.link_weight * link - arity_penalty +
+                   profile_.lm_weight * (lm_score / 4.0) +
+                   rng.Gaussian() * noise * 0.12;
+      beam.push_back(std::move(cand));
+    }
   }
 
   std::sort(beam.begin(), beam.end(),

@@ -74,6 +74,13 @@ class CodesModel {
   void FineTune(const std::vector<Text2SqlSample>& train,
                 const Text2SqlBenchmark* bench, int max_samples = -1);
 
+  /// Fixes each pool demonstration's template id and question encodings,
+  /// so ICL requests look them up instead of re-parsing and re-encoding
+  /// their demonstrations. A demonstration outside the pool is computed
+  /// on the fly. Call again after a FineTune that refits the encoder
+  /// (CodesPipeline does); the refit drops the stale entries.
+  void SetDemonstrationPool(const std::vector<Text2SqlSample>& pool);
+
   /// Full beam, for diagnostics, tests, and guarded serving. When
   /// `mark_executable` is false the per-candidate execution probe is
   /// skipped (candidates keep `executable = false`); callers that execute
@@ -86,14 +93,22 @@ class CodesModel {
 
  private:
   struct TemplateAnchor {
-    std::vector<float> question_embedding;
-    std::vector<float> pattern_embedding;
+    NormedEmbedding question_embedding;
+    NormedEmbedding pattern_embedding;
     double weight = 1.0;
   };
 
-  double TemplateScore(int template_id, const std::vector<float>& q_emb,
-                       const std::vector<float>& p_emb) const;
+  /// What template scoring reads of one ICL demonstration.
+  struct DemoFeatures {
+    int template_id = -1;
+    NormedEmbedding question;
+    NormedEmbedding pattern;
+  };
+
+  double TemplateScore(int template_id, const NormedEmbedding& q_emb,
+                       const NormedEmbedding& p_emb) const;
   void RebuildSkeletonAnchors();
+  DemoFeatures EncodeDemonstration(const Text2SqlSample& demo) const;
 
   CapacityProfile profile_;
   const NgramLm* lm_;
@@ -104,6 +119,9 @@ class CodesModel {
   /// Per-template anchors: skeleton knowledge plus SFT centroids.
   std::vector<std::vector<TemplateAnchor>> anchors_;
   std::vector<double> template_prior_;  // log-count prior from SFT
+  /// Pool demonstrations keyed by question and SQL (DemoKey), so a caller
+  /// may pass any copy of a pool sample.
+  std::unordered_map<std::string, DemoFeatures> demo_features_;
 };
 
 }  // namespace codes

@@ -18,19 +18,18 @@ DemonstrationRetriever::DemonstrationRetriever(
   pattern_embeddings_.reserve(pool.size());
   for (const auto& sample : pool) {
     questions_.push_back(sample.question);
-    question_embeddings_.push_back(encoder_.Encode(sample.question));
-    pattern_embeddings_.push_back(
+    question_embeddings_.emplace_back(encoder_.Encode(sample.question));
+    pattern_embeddings_.emplace_back(
         encoder_.Encode(ExtractQuestionPattern(sample.question)));
   }
 }
 
 double DemonstrationRetriever::Similarity(const std::string& question,
                                           int index) const {
-  std::vector<float> q_emb = encoder_.Encode(question);
+  NormedEmbedding q_emb(encoder_.Encode(question));
   double sim = CosineSimilarity(q_emb, question_embeddings_[index]);
   if (options_.use_pattern_similarity) {
-    std::vector<float> p_emb =
-        encoder_.Encode(ExtractQuestionPattern(question));
+    NormedEmbedding p_emb(encoder_.Encode(ExtractQuestionPattern(question)));
     sim = std::max(sim,
                    CosineSimilarity(p_emb, pattern_embeddings_[index]));
   }
@@ -39,10 +38,10 @@ double DemonstrationRetriever::Similarity(const std::string& question,
 
 std::vector<int> DemonstrationRetriever::TopK(const std::string& question,
                                               int k) const {
-  std::vector<float> q_emb = encoder_.Encode(question);
-  std::vector<float> p_emb;
+  NormedEmbedding q_emb(encoder_.Encode(question));
+  NormedEmbedding p_emb;
   if (options_.use_pattern_similarity) {
-    p_emb = encoder_.Encode(ExtractQuestionPattern(question));
+    p_emb = NormedEmbedding(encoder_.Encode(ExtractQuestionPattern(question)));
   }
   std::vector<std::pair<double, int>> scored;
   scored.reserve(questions_.size());
@@ -53,15 +52,17 @@ std::vector<int> DemonstrationRetriever::TopK(const std::string& question,
     }
     scored.emplace_back(sim, static_cast<int>(i));
   }
-  std::sort(scored.begin(), scored.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
+  // (score desc, index asc) is a strict total order, so the partial sort
+  // yields exactly the first k of a full sort.
+  size_t top = std::min(static_cast<size_t>(std::max(k, 0)), scored.size());
+  std::partial_sort(scored.begin(), scored.begin() + top, scored.end(),
+                    [](const auto& a, const auto& b) {
+                      if (a.first != b.first) return a.first > b.first;
+                      return a.second < b.second;
+                    });
   std::vector<int> out;
-  for (int i = 0; i < k && i < static_cast<int>(scored.size()); ++i) {
-    out.push_back(scored[i].second);
-  }
+  out.reserve(top);
+  for (size_t i = 0; i < top; ++i) out.push_back(scored[i].second);
   return out;
 }
 

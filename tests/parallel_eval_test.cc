@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/model_zoo.h"
@@ -147,6 +148,32 @@ TEST_F(ParallelEvalTest, ConcurrentPredictorsShareRetrieverCacheSafely) {
   EvalResult r2 = ParallelEvaluateDevSet(*bench_, probe, options);
   EXPECT_EQ(prompts.load(), r2.metrics.n);
   EXPECT_DOUBLE_EQ(r.metrics.ex, r2.metrics.ex);
+}
+
+TEST(ParallelEvalLmZooTest, EightThreadsRaceFirstCodesFor) {
+  // LmZoo trains each n-gram order on first access. Eight threads released
+  // together must all see one trained model, and it must score exactly
+  // like the same order trained with no contention.
+  LmZoo raced(1, 31);
+  std::atomic<bool> go{false};
+  std::vector<const NgramLm*> seen(8, nullptr);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < seen.size(); ++i) {
+    threads.emplace_back([&, i] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      seen[i] = raced.CodesFor(ModelSize::k7B);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& t : threads) t.join();
+  for (const NgramLm* lm : seen) EXPECT_EQ(lm, seen[0]);
+
+  LmZoo serial(1, 31);
+  const std::string sql = "SELECT name FROM singer WHERE age > 30";
+  EXPECT_EQ(seen[0]->AvgLogProb(sql),
+            serial.CodesFor(ModelSize::k7B)->AvgLogProb(sql));
+  EXPECT_EQ(raced.BaseFor(ModelSize::k7B)->AvgLogProb(sql),
+            serial.BaseFor(ModelSize::k7B)->AvgLogProb(sql));
 }
 
 }  // namespace
