@@ -1,25 +1,25 @@
 #include "core/model_zoo.h"
 
 #include "common/status.h"
+#include "corpus/pretrain_corpus.h"
 
 namespace codes {
 
-LmZoo::LmZoo(int scale, uint64_t seed)
-    : base_corpus_(BuildBaseCodeCorpus(2500 * scale, seed)),
-      slices_(BuildPretrainCorpus(scale, seed ^ 0xABCDEF)) {}
+LmZoo::LmZoo(int scale, uint64_t seed) : scale_(scale), seed_(seed) {}
 
 const LmZoo::OrderModels& LmZoo::Trained(int order) const {
   CODES_CHECK(order >= 2 && order <= 5);
   OrderModels& m = orders_[static_cast<size_t>(order - 2)];
   std::call_once(m.trained, [&] {
     m.base = std::make_unique<NgramLm>(order);
-    m.base->Train(base_corpus_, /*epochs=*/1);
+    m.base->Train(BuildBaseCodeCorpus(2500 * scale_, seed_), /*epochs=*/1);
 
     // Incremental pre-training starts from the base model's counts.
+    CorpusSlices slices = BuildPretrainCorpus(scale_, seed_ ^ 0xABCDEF);
     m.codes = std::make_unique<NgramLm>(*m.base);
-    m.codes->Train(slices_.sql_related, /*epochs=*/2);
-    m.codes->Train(slices_.nl_related, /*epochs=*/1);
-    m.codes->Train(slices_.nl_to_code, /*epochs=*/1);
+    m.codes->Train(slices.sql_related, /*epochs=*/2);
+    m.codes->Train(slices.nl_related, /*epochs=*/1);
+    m.codes->Train(slices.nl_to_code, /*epochs=*/1);
   });
   return m;
 }

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "corpus/pretrain_corpus.h"
 #include "generator/capacity.h"
 #include "lm/ngram_lm.h"
 
@@ -20,10 +19,12 @@ namespace codes {
 ///    on the SQL-centric corpus (SQL-related ×2 epochs, NL ×1, NL-to-code
 ///    ×1, matching Section 5.2's schedule).
 /// One LM pair is kept per n-gram order 2..5 because the order is a model-
-/// size capacity knob. The constructor builds only the corpora; each
-/// order's pair is trained on its first Base/Codes access (once, even
-/// under concurrent first access), so a deployment that reads one order
-/// holds one pair instead of eight models.
+/// size capacity knob. Each order's pair is trained on its first
+/// Base/Codes access (once, even under concurrent first access) from
+/// corpora built for that training and then dropped, so a deployment
+/// that reads one order holds one pair instead of eight models. The
+/// corpora are deterministic in (scale, seed), so every order trains on
+/// the same documents.
 class LmZoo {
  public:
   /// `scale` multiplies corpus sizes (see corpus/pretrain_corpus.h).
@@ -46,8 +47,8 @@ class LmZoo {
   /// The pair for `order`, trained on first use.
   const OrderModels& Trained(int order) const;
 
-  std::vector<std::string> base_corpus_;
-  CorpusSlices slices_;
+  int scale_;
+  uint64_t seed_;
   mutable std::array<OrderModels, 4> orders_;  // index = order - 2
 };
 

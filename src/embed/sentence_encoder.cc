@@ -93,12 +93,17 @@ double SquaredNorm(const std::vector<float>& v) {
 
 }  // namespace
 
-NormedEmbedding::NormedEmbedding(std::vector<float> v)
-    : values(std::move(v)), norm2(SquaredNorm(values)) {
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (values[i] != 0.0f) nonzero.push_back(static_cast<uint32_t>(i));
+SparseEmbedding::SparseEmbedding(const std::vector<float>& dense)
+    : dim(static_cast<uint32_t>(dense.size())), norm2(SquaredNorm(dense)) {
+  for (size_t i = 0; i < dense.size(); ++i) {
+    if (dense[i] == 0.0f) continue;
+    index.push_back(static_cast<uint32_t>(i));
+    value.push_back(dense[i]);
   }
 }
+
+DenseEmbedding::DenseEmbedding(std::vector<float> dense)
+    : values(std::move(dense)), norm2(SquaredNorm(values)) {}
 
 double CosineSimilarity(const std::vector<float>& a,
                         const std::vector<float>& b) {
@@ -113,17 +118,18 @@ double CosineSimilarity(const std::vector<float>& a,
   return dot / std::sqrt(na * nb);
 }
 
-double CosineSimilarity(const NormedEmbedding& a, const NormedEmbedding& b) {
-  CODES_CHECK(a.values.size() == b.values.size());
-  if (a.norm2 == 0 || b.norm2 == 0) return 0.0;
+double CosineSimilarity(const DenseEmbedding& query,
+                        const SparseEmbedding& stored) {
+  CODES_CHECK(query.values.size() == stored.dim);
+  if (query.norm2 == 0 || stored.norm2 == 0) return 0.0;
   // A term with a zero factor adds +-0.0, which never changes a running
-  // sum that starts at +0.0, so summing only the sparser side's nonzero
-  // terms, in ascending index order, is bit-identical to the dense loop.
-  const auto& idx =
-      a.nonzero.size() <= b.nonzero.size() ? a.nonzero : b.nonzero;
+  // sum that starts at +0.0, so summing the stored side's nonzero terms in
+  // ascending index order is bit-identical to the dense loop.
   double dot = 0;
-  for (uint32_t i : idx) dot += static_cast<double>(a.values[i]) * b.values[i];
-  return dot / std::sqrt(a.norm2 * b.norm2);
+  for (size_t k = 0; k < stored.index.size(); ++k) {
+    dot += static_cast<double>(query.values[stored.index[k]]) * stored.value[k];
+  }
+  return dot / std::sqrt(query.norm2 * stored.norm2);
 }
 
 }  // namespace codes

@@ -40,24 +40,37 @@ class SentenceEncoder {
   std::unordered_map<std::string, int> doc_freq_;
 };
 
-/// An embedding with its squared L2 norm, summed once in the order
-/// CosineSimilarity sums it, and the ascending indices of its nonzero
-/// values. Anchors, demonstrations and pool items are scored against many
-/// queries; with both cached, a comparison is one sparse dot product.
-struct NormedEmbedding {
-  NormedEmbedding() = default;
-  explicit NormedEmbedding(std::vector<float> v);
+/// A stored embedding — a template anchor, a demonstration, a pool item —
+/// that is scored against many queries: its nonzero values (a sentence
+/// fills a few dozen of a few hundred dimensions) and its squared L2 norm,
+/// summed once in the order CosineSimilarity sums it.
+struct SparseEmbedding {
+  SparseEmbedding() = default;
+  explicit SparseEmbedding(const std::vector<float>& dense);
+
+  uint32_t dim = 0;
+  std::vector<uint32_t> index;  ///< ascending positions of nonzero values
+  std::vector<float> value;     ///< the values at those positions
+  double norm2 = 0.0;
+};
+
+/// A query embedding: dense values and their squared L2 norm, computed
+/// once per query rather than once per comparison.
+struct DenseEmbedding {
+  DenseEmbedding() = default;
+  explicit DenseEmbedding(std::vector<float> dense);
 
   std::vector<float> values;
-  std::vector<uint32_t> nonzero;
   double norm2 = 0.0;
 };
 
 /// Cosine similarity of two equal-length vectors; 0 for zero vectors.
 double CosineSimilarity(const std::vector<float>& a,
                         const std::vector<float>& b);
-/// The same similarity from cached norms; bit-identical to the above.
-double CosineSimilarity(const NormedEmbedding& a, const NormedEmbedding& b);
+/// The same similarity from cached norms, reading only the stored side's
+/// nonzero values; bit-identical to the dense overload.
+double CosineSimilarity(const DenseEmbedding& query,
+                        const SparseEmbedding& stored);
 
 }  // namespace codes
 

@@ -191,9 +191,9 @@ void CodesModel::RebuildSkeletonAnchors() {
         if (close == std::string::npos) break;
         masked.replace(open, close - open + 1, "_");
       }
-      anchor.question_embedding = NormedEmbedding(encoder_.Encode(masked));
+      anchor.question_embedding = SparseEmbedding(encoder_.Encode(masked));
       anchor.pattern_embedding =
-          NormedEmbedding(encoder_.Encode(ExtractQuestionPattern(masked)));
+          SparseEmbedding(encoder_.Encode(ExtractQuestionPattern(masked)));
       anchor.weight = 0.5;
       anchors_[static_cast<size_t>(tid)].push_back(std::move(anchor));
     }
@@ -205,9 +205,9 @@ void CodesModel::RebuildSkeletonAnchors() {
       if (!inst.has_value()) continue;
       std::string masked = MaskSchemaWords(inst->question, db);
       TemplateAnchor anchor;
-      anchor.question_embedding = NormedEmbedding(encoder_.Encode(masked));
+      anchor.question_embedding = SparseEmbedding(encoder_.Encode(masked));
       anchor.pattern_embedding =
-          NormedEmbedding(encoder_.Encode(ExtractQuestionPattern(masked)));
+          SparseEmbedding(encoder_.Encode(ExtractQuestionPattern(masked)));
       anchor.weight = 0.55;
       anchors_[static_cast<size_t>(tid)].push_back(std::move(anchor));
       // Paraphrase knowledge: a pre-trained LM also recognizes common
@@ -219,8 +219,8 @@ void CodesModel::RebuildSkeletonAnchors() {
       }
       if (paraphrased != masked) {
         TemplateAnchor twin;
-        twin.question_embedding = NormedEmbedding(encoder_.Encode(paraphrased));
-        twin.pattern_embedding = NormedEmbedding(
+        twin.question_embedding = SparseEmbedding(encoder_.Encode(paraphrased));
+        twin.pattern_embedding = SparseEmbedding(
             encoder_.Encode(ExtractQuestionPattern(paraphrased)));
         twin.weight = 0.5;
         anchors_[static_cast<size_t>(tid)].push_back(std::move(twin));
@@ -290,8 +290,8 @@ void CodesModel::FineTune(const std::vector<Text2SqlSample>& train,
     a.count += 1;
     if (exemplars[static_cast<size_t>(tid)] < kExemplarsPerTemplate) {
       TemplateAnchor anchor;
-      anchor.question_embedding = NormedEmbedding(std::move(q));
-      anchor.pattern_embedding = NormedEmbedding(std::move(p));
+      anchor.question_embedding = SparseEmbedding(q);
+      anchor.pattern_embedding = SparseEmbedding(p);
       anchor.weight = 1.0;
       anchors_[static_cast<size_t>(tid)].push_back(std::move(anchor));
       exemplars[static_cast<size_t>(tid)] += 1;
@@ -307,8 +307,8 @@ void CodesModel::FineTune(const std::vector<Text2SqlSample>& train,
       pattern[d] = static_cast<float>(acc[tid].pattern_sum[d] / acc[tid].count);
     }
     TemplateAnchor centroid;
-    centroid.question_embedding = NormedEmbedding(std::move(question));
-    centroid.pattern_embedding = NormedEmbedding(std::move(pattern));
+    centroid.question_embedding = SparseEmbedding(question);
+    centroid.pattern_embedding = SparseEmbedding(pattern);
     centroid.weight = 1.0;
     anchors_[tid].push_back(std::move(centroid));
     template_prior_[tid] = 0.02 * std::log(1.0 + acc[tid].count);
@@ -321,8 +321,8 @@ CodesModel::DemoFeatures CodesModel::EncodeDemonstration(
   DemoFeatures features;
   features.template_id = GlobalTemplates().IdentifyTemplate(demo.sql);
   if (features.template_id >= 0) {
-    features.question = NormedEmbedding(encoder_.Encode(demo.question));
-    features.pattern = NormedEmbedding(
+    features.question = SparseEmbedding(encoder_.Encode(demo.question));
+    features.pattern = SparseEmbedding(
         encoder_.Encode(ExtractQuestionPattern(demo.question)));
   }
   return features;
@@ -337,8 +337,8 @@ void CodesModel::SetDemonstrationPool(
 }
 
 double CodesModel::TemplateScore(int template_id,
-                                 const NormedEmbedding& q_emb,
-                                 const NormedEmbedding& p_emb) const {
+                                 const DenseEmbedding& q_emb,
+                                 const DenseEmbedding& p_emb) const {
   double best = 0.0;
   for (const auto& anchor : anchors_[static_cast<size_t>(template_id)]) {
     double sim = std::max(CosineSimilarity(q_emb, anchor.question_embedding),
@@ -361,8 +361,8 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
   {
     CODES_TRACE_SPAN(template_span, "generator.template_score");
     std::string masked = MaskSchemaWords(input.question, db);
-    NormedEmbedding q_emb(encoder_.Encode(masked));
-    NormedEmbedding p_emb(encoder_.Encode(ExtractQuestionPattern(masked)));
+    DenseEmbedding q_emb(encoder_.Encode(masked));
+    DenseEmbedding p_emb(encoder_.Encode(ExtractQuestionPattern(masked)));
     for (int tid = 0; tid < lib.size(); ++tid) {
       template_scores[static_cast<size_t>(tid)] =
           TemplateScore(tid, q_emb, p_emb);
@@ -372,8 +372,8 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
     // similar demos never outvote the best match — more shots can only
     // widen coverage), thresholded so weak matches add nothing.
     if (!input.demonstrations.empty()) {
-      NormedEmbedding raw_q(encoder_.Encode(input.question));
-      NormedEmbedding raw_p(
+      DenseEmbedding raw_q(encoder_.Encode(input.question));
+      DenseEmbedding raw_p(
           encoder_.Encode(ExtractQuestionPattern(input.question)));
       std::vector<double> demo_best(static_cast<size_t>(lib.size()), 0.0);
       for (const Text2SqlSample* demo : input.demonstrations) {

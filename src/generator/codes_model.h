@@ -93,20 +93,20 @@ class CodesModel {
 
  private:
   struct TemplateAnchor {
-    NormedEmbedding question_embedding;
-    NormedEmbedding pattern_embedding;
+    SparseEmbedding question_embedding;
+    SparseEmbedding pattern_embedding;
     double weight = 1.0;
   };
 
   /// What template scoring reads of one ICL demonstration.
   struct DemoFeatures {
     int template_id = -1;
-    NormedEmbedding question;
-    NormedEmbedding pattern;
+    SparseEmbedding question;
+    SparseEmbedding pattern;
   };
 
-  double TemplateScore(int template_id, const NormedEmbedding& q_emb,
-                       const NormedEmbedding& p_emb) const;
+  double TemplateScore(int template_id, const DenseEmbedding& q_emb,
+                       const DenseEmbedding& p_emb) const;
   void RebuildSkeletonAnchors();
   DemoFeatures EncodeDemonstration(const Text2SqlSample& demo) const;
 

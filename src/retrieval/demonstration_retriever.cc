@@ -26,10 +26,10 @@ DemonstrationRetriever::DemonstrationRetriever(
 
 double DemonstrationRetriever::Similarity(const std::string& question,
                                           int index) const {
-  NormedEmbedding q_emb(encoder_.Encode(question));
+  DenseEmbedding q_emb(encoder_.Encode(question));
   double sim = CosineSimilarity(q_emb, question_embeddings_[index]);
   if (options_.use_pattern_similarity) {
-    NormedEmbedding p_emb(encoder_.Encode(ExtractQuestionPattern(question)));
+    DenseEmbedding p_emb(encoder_.Encode(ExtractQuestionPattern(question)));
     sim = std::max(sim,
                    CosineSimilarity(p_emb, pattern_embeddings_[index]));
   }
@@ -38,10 +38,10 @@ double DemonstrationRetriever::Similarity(const std::string& question,
 
 std::vector<int> DemonstrationRetriever::TopK(const std::string& question,
                                               int k) const {
-  NormedEmbedding q_emb(encoder_.Encode(question));
-  NormedEmbedding p_emb;
+  DenseEmbedding q_emb(encoder_.Encode(question));
+  DenseEmbedding p_emb;
   if (options_.use_pattern_similarity) {
-    p_emb = NormedEmbedding(encoder_.Encode(ExtractQuestionPattern(question)));
+    p_emb = DenseEmbedding(encoder_.Encode(ExtractQuestionPattern(question)));
   }
   std::vector<std::pair<double, int>> scored;
   scored.reserve(questions_.size());

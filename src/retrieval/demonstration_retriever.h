@@ -40,8 +40,8 @@ class DemonstrationRetriever {
   Options options_;
   SentenceEncoder encoder_;
   std::vector<std::string> questions_;
-  std::vector<NormedEmbedding> question_embeddings_;
-  std::vector<NormedEmbedding> pattern_embeddings_;
+  std::vector<SparseEmbedding> question_embeddings_;
+  std::vector<SparseEmbedding> pattern_embeddings_;
 };
 
 }  // namespace codes
