@@ -7,26 +7,36 @@ namespace codes {
 
 LmZoo::LmZoo(int scale, uint64_t seed) : scale_(scale), seed_(seed) {}
 
-const LmZoo::OrderModels& LmZoo::Trained(int order) const {
+LmZoo::OrderModels& LmZoo::At(int order) const {
   CODES_CHECK(order >= 2 && order <= 5);
-  OrderModels& m = orders_[static_cast<size_t>(order - 2)];
-  std::call_once(m.trained, [&] {
-    m.base = std::make_unique<NgramLm>(order);
-    m.base->Train(BuildBaseCodeCorpus(2500 * scale_, seed_), /*epochs=*/1);
-
-    // Incremental pre-training starts from the base model's counts.
-    CorpusSlices slices = BuildPretrainCorpus(scale_, seed_ ^ 0xABCDEF);
-    m.codes = std::make_unique<NgramLm>(*m.base);
-    m.codes->Train(slices.sql_related, /*epochs=*/2);
-    m.codes->Train(slices.nl_related, /*epochs=*/1);
-    m.codes->Train(slices.nl_to_code, /*epochs=*/1);
-  });
-  return m;
+  return orders_[static_cast<size_t>(order - 2)];
 }
 
-const NgramLm& LmZoo::Base(int order) const { return *Trained(order).base; }
+std::unique_ptr<NgramLm> LmZoo::TrainBase(int order) const {
+  auto lm = std::make_unique<NgramLm>(order);
+  lm->Train(BuildBaseCodeCorpus(2500 * scale_, seed_), /*epochs=*/1);
+  return lm;
+}
 
-const NgramLm& LmZoo::Codes(int order) const { return *Trained(order).codes; }
+const NgramLm& LmZoo::Base(int order) const {
+  OrderModels& m = At(order);
+  std::call_once(m.base_trained, [&] { m.base = TrainBase(order); });
+  return *m.base;
+}
+
+const NgramLm& LmZoo::Codes(int order) const {
+  OrderModels& m = At(order);
+  std::call_once(m.codes_trained, [&] {
+    // Incremental pre-training continues from the base model's counts.
+    std::unique_ptr<NgramLm> lm = TrainBase(order);
+    CorpusSlices slices = BuildPretrainCorpus(scale_, seed_ ^ 0xABCDEF);
+    lm->Train(slices.sql_related, /*epochs=*/2);
+    lm->Train(slices.nl_related, /*epochs=*/1);
+    lm->Train(slices.nl_to_code, /*epochs=*/1);
+    m.codes = std::move(lm);
+  });
+  return *m.codes;
+}
 
 const NgramLm* LmZoo::BaseFor(ModelSize size) const {
   return &Base(ProfileFor(size).ngram_order);

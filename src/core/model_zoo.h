@@ -18,13 +18,12 @@ namespace codes {
 ///  * Codes(order) — the same base counts, then *incrementally pre-trained*
 ///    on the SQL-centric corpus (SQL-related ×2 epochs, NL ×1, NL-to-code
 ///    ×1, matching Section 5.2's schedule).
-/// One LM pair is kept per n-gram order 2..5 because the order is a model-
-/// size capacity knob. Each order's pair is trained on its first
-/// Base/Codes access (once, even under concurrent first access) from
-/// corpora built for that training and then dropped, so a deployment
-/// that reads one order holds one pair instead of eight models. The
-/// corpora are deterministic in (scale, seed), so every order trains on
-/// the same documents.
+/// One LM is trained per n-gram order 2..5 because the order is a model-
+/// size capacity knob. Each model is trained on its first access (once,
+/// even under concurrent first access) from corpora built for that
+/// training and then dropped, so a deployment that reads one LM holds
+/// one model instead of eight. The corpora are deterministic in
+/// (scale, seed), so every model trains on the same documents.
 class LmZoo {
  public:
   /// `scale` multiplies corpus sizes (see corpus/pretrain_corpus.h).
@@ -39,13 +38,14 @@ class LmZoo {
 
  private:
   struct OrderModels {
-    std::once_flag trained;
+    std::once_flag base_trained;
+    std::once_flag codes_trained;
     std::unique_ptr<NgramLm> base;
     std::unique_ptr<NgramLm> codes;
   };
 
-  /// The pair for `order`, trained on first use.
-  const OrderModels& Trained(int order) const;
+  OrderModels& At(int order) const;
+  std::unique_ptr<NgramLm> TrainBase(int order) const;
 
   int scale_;
   uint64_t seed_;
