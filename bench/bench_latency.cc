@@ -427,8 +427,6 @@ void GuardOverheadSection(const Text2SqlBenchmark& bench,
 
   ServeOptions guarded;
   guarded.limits = GenerousLimits();
-  CancelToken token;  // never cancelled; forces the token check too
-  guarded.cancel = &token;
 
   OverheadSection(
       bench, queries, "guard", "Predict (no guard)", "PredictGuarded",

@@ -17,8 +17,6 @@ struct GuardMetrics {
       MetricsRegistry::Global().GetCounter("guard.bytes_charged");
   Counter& timeout_trips =
       MetricsRegistry::Global().GetCounter("guard.trips.timeout");
-  Counter& cancelled_trips =
-      MetricsRegistry::Global().GetCounter("guard.trips.cancelled");
   Counter& budget_trips =
       MetricsRegistry::Global().GetCounter("guard.trips.resource_exhausted");
 };
@@ -30,11 +28,9 @@ GuardMetrics& Metrics() {
 
 }  // namespace
 
-ExecGuard::ExecGuard(const ExecLimits& limits, const CancelToken* cancel)
-    : limits_(limits), cancel_(cancel) {
-  active_ = cancel_ != nullptr || limits_.deadline_seconds > 0.0 ||
-            limits_.max_rows > 0 || limits_.max_bytes > 0 ||
-            limits_.max_depth > 0;
+ExecGuard::ExecGuard(const ExecLimits& limits) : limits_(limits) {
+  active_ = limits_.deadline_seconds > 0.0 || limits_.max_rows > 0 ||
+            limits_.max_bytes > 0 || limits_.max_depth > 0;
   if (limits_.deadline_seconds > 0.0) {
     deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                    std::chrono::duration<double>(
@@ -59,10 +55,6 @@ Status ExecGuard::DeadlineStatus() const {
 
 Status ExecGuard::Check() {
   if (!active_) return Status::Ok();
-  if (cancel_ != nullptr && cancel_->cancelled()) {
-    Metrics().cancelled_trips.Increment();
-    return Status::Cancelled("operation cancelled");
-  }
   if (limits_.deadline_seconds > 0.0 && Clock::now() > deadline_) {
     return DeadlineStatus();
   }

@@ -1,7 +1,6 @@
 #ifndef CODES_COMMON_EXEC_GUARD_H_
 #define CODES_COMMON_EXEC_GUARD_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -9,27 +8,6 @@
 #include "common/status.h"
 
 namespace codes {
-
-/// Cooperative cancellation flag. One thread (typically a supervisor or a
-/// client disconnect handler) calls Cancel(); the worker executing under an
-/// ExecGuard observes it at its next guard check and unwinds with
-/// StatusCode::kCancelled. The token is safe to share across threads and
-/// may be reused after Reset().
-class CancelToken {
- public:
-  CancelToken() = default;
-  CancelToken(const CancelToken&) = delete;
-  CancelToken& operator=(const CancelToken&) = delete;
-
-  void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-  void Reset() { cancelled_.store(false, std::memory_order_relaxed); }
-  bool cancelled() const {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<bool> cancelled_{false};
-};
 
 /// Resource budgets for one guarded operation. Zero means "unlimited" for
 /// every field, so a default-constructed ExecLimits guards nothing and the
@@ -50,44 +28,41 @@ struct ExecLimits {
   int max_depth = 0;
 };
 
-/// A per-request execution guard: wall-clock deadline, row/byte budgets,
-/// nesting-depth budget, and cooperative cancellation, checked from the
-/// hot loops of the SQL executor (and anywhere else a stage wants to honor
-/// serving budgets).
+/// A per-request execution guard: wall-clock deadline, row/byte budgets
+/// and nesting-depth budget, checked from the hot loops of the SQL
+/// executor (and anywhere else a stage wants to honor serving budgets).
 ///
 /// The guard is intentionally cheap when idle: a default ExecGuard (no
-/// limits, no token) short-circuits every check on one boolean, and
-/// deadline clock reads are throttled to one in kTimeCheckStride row
-/// charges, so guard-enabled execution stays within the ≤2% overhead
-/// budget of bench_latency.
+/// limits) short-circuits every check on one boolean, and deadline clock
+/// reads are throttled to one in kTimeCheckStride row charges, so
+/// guard-enabled execution stays within the ≤2% overhead budget of
+/// bench_latency.
 ///
-/// Thread model: one ExecGuard belongs to one request/worker thread; only
-/// the CancelToken may be touched from other threads. Usage counters are
-/// plain (non-atomic) members.
+/// Thread model: one ExecGuard belongs to one request/worker thread. Usage
+/// counters are plain (non-atomic) members.
 class ExecGuard {
  public:
-  /// No limits, no cancellation: all checks succeed.
+  /// No limits: all checks succeed.
   ExecGuard() = default;
 
-  /// Guard with `limits`; `cancel` (optional) must outlive the guard.
-  explicit ExecGuard(const ExecLimits& limits,
-                     const CancelToken* cancel = nullptr);
+  /// Guard with `limits`.
+  explicit ExecGuard(const ExecLimits& limits);
 
   /// Flushes accumulated row/byte consumption into the global
   /// MetricsRegistry (`guard.rows_charged` / `guard.bytes_charged`) — one
   /// branch for an idle guard, two counter bumps for an active one.
   ~ExecGuard();
 
-  /// Cancellation + deadline check, unthrottled. Call at operation
-  /// boundaries (start of a statement, start of a stage).
+  /// Deadline check, unthrottled. Call at operation boundaries (start of
+  /// a statement, start of a stage).
   Status Check();
 
   /// Charges one materialized row of ~`approx_bytes` bytes. Row/byte
-  /// budgets are enforced exactly; cancellation and the deadline are
-  /// observed within kTimeCheckStride charges (checking them per row costs
-  /// more than the row processing it guards). This is the one call
-  /// executors need per produced row, so the fast path is inline: one
-  /// branch when the guard is idle, increments and compares otherwise.
+  /// budgets are enforced exactly; the deadline is observed within
+  /// kTimeCheckStride charges (checking it per row costs more than the
+  /// row processing it guards). This is the one call executors need per
+  /// produced row, so the fast path is inline: one branch when the guard
+  /// is idle, increments and compares otherwise.
   Status ChargeRow(size_t approx_bytes) {
     if (!active_) return Status::Ok();
     ++rows_;
@@ -118,8 +93,8 @@ class ExecGuard {
   /// never lose accounting.
   void ResetUsage(bool rearm_deadline = false);
 
-  /// True when any budget or a cancel token is configured; false for a
-  /// default guard (used by callers to skip byte-estimation work).
+  /// True when any budget is configured; false for a default guard (used
+  /// by callers to skip byte-estimation work).
   bool active() const { return active_; }
   /// True when max_bytes is set (callers skip byte estimation otherwise).
   bool tracks_bytes() const { return limits_.max_bytes > 0; }
@@ -141,7 +116,6 @@ class ExecGuard {
   using Clock = std::chrono::steady_clock;
 
   ExecLimits limits_;
-  const CancelToken* cancel_ = nullptr;
   bool active_ = false;
   Clock::time_point deadline_{};  ///< valid iff deadline_seconds > 0
   size_t rows_ = 0;

@@ -20,8 +20,6 @@ const char* StatusCodeName(StatusCode code) {
       return "Internal";
     case StatusCode::kTimeout:
       return "Timeout";
-    case StatusCode::kCancelled:
-      return "Cancelled";
     case StatusCode::kResourceExhausted:
       return "ResourceExhausted";
     case StatusCode::kDataLoss:

@@ -13,7 +13,7 @@ namespace codes {
 /// modes the library can produce; `kOk` means success.
 ///
 /// The first block is the data-dependent taxonomy (bad input, bad SQL).
-/// The second block — kTimeout / kCancelled / kResourceExhausted — is the
+/// The second block — kTimeout / kResourceExhausted — is the
 /// *guard* taxonomy introduced with ExecGuard (common/exec_guard.h): these
 /// mean the operation itself may have been fine but a serving-side budget
 /// ended it early. Degradation logic treats the two blocks differently:
@@ -28,7 +28,6 @@ enum class StatusCode {
   kExecutionError,  ///< SQL bound but failed while executing.
   kInternal,
   kTimeout,            ///< a wall-clock deadline expired mid-operation.
-  kCancelled,          ///< a CancelToken was triggered (possibly remotely).
   kResourceExhausted,  ///< a row/byte/depth budget was exceeded.
   kDataLoss,           ///< persisted bytes failed verification (torn write,
                        ///< bit rot, checksum mismatch). Unlike kInternal,
@@ -69,9 +68,6 @@ class Status {
   }
   static Status Timeout(std::string msg) {
     return Status(StatusCode::kTimeout, std::move(msg));
-  }
-  static Status Cancelled(std::string msg) {
-    return Status(StatusCode::kCancelled, std::move(msg));
   }
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));

@@ -2,81 +2,17 @@
 
 namespace codes {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-thread_local TraceRecorder* tls_recorder = nullptr;
-thread_local int tls_depth = 0;
-
-uint64_t MicrosBetween(Clock::time_point from, Clock::time_point to) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(to - from)
-          .count());
-}
-
-}  // namespace
-
-TraceRecorder::TraceRecorder()
-    : prev_(tls_recorder), origin_(Clock::now()) {
-  tls_recorder = this;
-}
-
-TraceRecorder::~TraceRecorder() { tls_recorder = prev_; }
-
-std::string TraceRecorder::ToString() const {
-  std::string out;
-  for (const auto& event : events_) {
-    out.append(static_cast<size_t>(event.depth) * 2, ' ');
-    out += event.name;
-    out += "  ";
-    out += std::to_string(event.duration_us);
-    out += " us\n";
-  }
-  return out;
-}
-
-std::string TraceRecorder::ToJson() const {
-  std::string out = "[";
-  for (size_t i = 0; i < events_.size(); ++i) {
-    if (i > 0) out += ", ";
-    const auto& event = events_[i];
-    out += "{\"name\": \"";
-    out += event.name;  // span names are identifier-like literals
-    out += "\", \"depth\": " + std::to_string(event.depth);
-    out += ", \"start_us\": " + std::to_string(event.start_us);
-    out += ", \"duration_us\": " + std::to_string(event.duration_us) + "}";
-  }
-  out += "]";
-  return out;
-}
-
-TraceSpan::TraceSpan(const char* name, Histogram* histogram)
-    : name_(name), histogram_(histogram), recorder_(tls_recorder) {
-  armed_ = recorder_ != nullptr || MetricsRegistry::Enabled();
-  if (!armed_) return;
-  start_ = Clock::now();
-  if (recorder_ != nullptr) {
-    // Reserve the event slot now so the tree is stored pre-order; the
-    // duration lands in the destructor.
-    event_index_ = static_cast<int>(recorder_->events_.size());
-    recorder_->events_.push_back(TraceEvent{
-        name_, tls_depth, MicrosBetween(recorder_->origin_, start_), 0});
-  }
-  ++tls_depth;
+TraceSpan::TraceSpan(Histogram* histogram) : histogram_(histogram) {
+  armed_ = MetricsRegistry::Enabled();
+  if (armed_) start_ = std::chrono::steady_clock::now();
 }
 
 TraceSpan::~TraceSpan() {
-  if (!armed_) return;
-  --tls_depth;
-  uint64_t duration_us = MicrosBetween(start_, Clock::now());
-  if (recorder_ != nullptr && event_index_ >= 0) {
-    recorder_->events_[static_cast<size_t>(event_index_)].duration_us =
-        duration_us;
-  }
-  if (histogram_ != nullptr && MetricsRegistry::Enabled()) {
-    histogram_->Observe(static_cast<double>(duration_us));
-  }
+  if (!armed_ || !MetricsRegistry::Enabled()) return;
+  auto duration = std::chrono::steady_clock::now() - start_;
+  histogram_->Observe(static_cast<double>(
+      std::chrono::duration_cast<std::chrono::microseconds>(duration)
+          .count()));
 }
 
 }  // namespace codes

@@ -305,9 +305,9 @@ std::shared_ptr<const ValueRetriever> CodesPipeline::RetrieverForGuarded(
   Status built =
       retriever->TryBuildIndex(db, guard, /*check_failpoint=*/false);
   if (!built.ok()) {
-    // Over-budget or cancelled mid-build: degrade this request to a prompt
-    // without values and leave the cache empty so a healthy request can
-    // build it fully later.
+    // Over-budget or past the deadline mid-build: degrade this request to
+    // a prompt without values and leave the cache empty so a healthy
+    // request can build it fully later.
     if (report != nullptr) report->AddRung(ServeRung::kValueFallback);
     return nullptr;
   }
@@ -468,7 +468,7 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
   // campaigns replay byte-identically at any thread count.
   uint64_t seed = config_.seed ^ HashString(sample.question);
   FailpointScope failpoint_scope(seed);
-  ExecGuard guard(options.limits, options.cancel);
+  ExecGuard guard(options.limits);
 
   const sql::Database& db = bench.DbOf(sample);
 
@@ -512,12 +512,6 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
   // of beam candidates).
   CODES_TRACE_SPAN(verify_span, "pipeline.verify");
 
-  // Verification backend: the in-memory database, or the caller-provided
-  // twin (e.g. a disk-backed StorageDb whose kDataLoss reads must land on
-  // a ladder rung, not in the response).
-  const sql::ExecSource& verify_db =
-      options.verify_source != nullptr ? *options.verify_source : db;
-
   // Ladder rung 3: walk a beam in rank order and serve the first
   // candidate that decodes and executes under the guard. Every failed
   // candidate is one bounded repair attempt; with no faults and no budgets
@@ -544,7 +538,7 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
         // Row/byte budgets are per-candidate; the deadline keeps running
         // across the whole request.
         guard.ResetUsage();
-        exec_status = sql::ExecuteSql(verify_db, sql, &guard).status();
+        exec_status = sql::ExecuteSql(db, sql, &guard).status();
       }
       if (exec_status.ok()) return static_cast<int>(i);
       last_error = exec_status;

@@ -20,7 +20,7 @@
 #include "prompt/prompt_builder.h"
 #include "retrieval/demonstration_retriever.h"
 #include "retrieval/value_retriever.h"
-#include "sqlengine/exec_source.h"
+#include "sqlengine/database.h"
 
 namespace codes {
 
@@ -112,19 +112,8 @@ constexpr const BrownoutKnobs& BrownoutRow(int level) {
 /// reproduce Predict's historical behaviour byte-for-byte.
 struct ServeOptions {
   /// Execution budgets applied to candidate verification (and, for the
-  /// deadline/cancel portion, to value-index construction).
+  /// deadline portion, to value-index construction).
   ExecLimits limits;
-  /// Optional cooperative cancellation; must outlive the call.
-  const CancelToken* cancel = nullptr;
-
-  /// When set, candidate verification executes against this backend
-  /// instead of the benchmark's in-memory database (prompt construction
-  /// and the emergency query still use the in-memory one). This is how a
-  /// disk-backed twin plugs into serving: a corrupted page surfaces as a
-  /// kDataLoss execution failure, the candidate is treated as broken, and
-  /// the request walks the degradation ladder (repair → unverified
-  /// fallback) instead of returning garbage rows. Must outlive the call.
-  const sql::ExecSource* verify_source = nullptr;
 
   /// When set, value retrieval uses this pre-built retriever instead of
   /// the pipeline's internal per-database cache. This is how the fleet

@@ -321,8 +321,10 @@ void CheckStorageDiff(const sql::ExecSource& storage,
   }
 }
 
-}  // namespace
-
+/// True when TLP and NoREC apply to `stmt`: the query must be a plain
+/// row-filter (no aggregation, grouping, HAVING, DISTINCT, LIMIT, or set
+/// operation), since each of those breaks the row-multiset partition
+/// argument. ORDER BY is fine — comparisons are order-insensitive.
 bool PartitionOraclesApplicable(const SelectStatement& stmt) {
   if (stmt.distinct || !stmt.group_by.empty() || stmt.having ||
       stmt.limit.has_value() || stmt.set_op != sql::SetOp::kNone) {
@@ -333,6 +335,8 @@ bool PartitionOraclesApplicable(const SelectStatement& stmt) {
   }
   return true;
 }
+
+}  // namespace
 
 std::vector<OracleViolation> RunOracles(const sql::Database& db,
                                         const QueryGenerator& gen,

@@ -48,8 +48,8 @@ Status ValueRetriever::TryBuildIndex(const sql::Database& db, ExecGuard* guard,
   db.ForEachTextValue([this, &seen, &scan_status, &scanned, guard](
                           int t, int c, int /*row*/, const std::string& text) {
     if (!scan_status.ok()) return;
-    // Poll the guard every 256 values: a blown deadline or a cancel aborts
-    // the build, and the pipeline degrades to a prompt without values.
+    // Poll the guard every 256 values: a blown deadline aborts the build,
+    // and the pipeline degrades to a prompt without values.
     if (guard != nullptr && (++scanned & 0xFF) == 0) {
       scan_status = guard->Check();
       if (!scan_status.ok()) return;

@@ -34,10 +34,10 @@ class ValueRetriever {
   void BuildIndex(const sql::Database& db);
 
   /// Guarded index construction for the serving path. `guard`, when
-  /// non-null, is polled for cancellation/deadline while values are
-  /// scanned (row/byte budgets are not charged — those belong to SQL
-  /// execution). `check_failpoint` controls whether this call evaluates
-  /// the value_retriever.build_index failpoint itself; the pipeline passes
+  /// non-null, is polled for its deadline while values are scanned
+  /// (row/byte budgets are not charged — those belong to SQL execution).
+  /// `check_failpoint` controls whether this call evaluates the
+  /// value_retriever.build_index failpoint itself; the pipeline passes
   /// false because it evaluates that site once per request, cache hit or
   /// miss, to keep fault decisions independent of cache state. On failure
   /// the retriever is left empty and safe to discard or rebuild.

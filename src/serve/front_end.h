@@ -156,7 +156,7 @@ class ServeFrontEnd {
   /// queue on this path — the calling thread is the waiting slot, so
   /// "queue depth" is the number of in-flight Serve calls and admission
   /// rejects once `queue_capacity` callers are already inside. Returns
-  /// kUnavailable on rejection (no SQL produced), OK otherwise.
+  /// kResourceExhausted on rejection (no SQL produced), OK otherwise.
   Status Serve(const Text2SqlSample& sample, std::string* sql,
                ServeReport* report = nullptr);
 
@@ -164,8 +164,8 @@ class ServeFrontEnd {
   /// TrySubmit to `pool` with the admission queue capacity as the backlog
   /// bound. False = rejected (rate or pool backlog full); when true,
   /// `done` eventually runs on a pool thread with the outcome — status is
-  /// kDeadlineExceeded (empty SQL) when the request expired in the
-  /// backlog and was shed without touching the pipeline.
+  /// kTimeout (empty SQL) when the request expired in the backlog and was
+  /// shed without touching the pipeline.
   bool TryServeAsync(
       const Text2SqlSample& sample, ThreadPool* pool,
       std::function<void(const Status&, const std::string&,

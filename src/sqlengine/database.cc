@@ -58,18 +58,6 @@ size_t Database::TotalRows() const {
   return n;
 }
 
-size_t Database::TotalValues() const {
-  size_t n = 0;
-  for (const auto& t : tables_) {
-    for (const auto& row : t.rows) {
-      for (const auto& v : row) {
-        if (!v.is_null()) ++n;
-      }
-    }
-  }
-  return n;
-}
-
 std::vector<Value> Database::DistinctValues(const std::string& table_name,
                                             const std::string& column_name,
                                             size_t limit) const {

@@ -33,10 +33,10 @@ namespace codes::sql {
 /// is a pure prefilter and the full WHERE clause is still applied.
 ///
 /// Guarded execution: when a non-null ExecGuard is passed, row production
-/// charges its row/byte budgets, deadline/cancellation are polled from
-/// every materializing loop, and subquery / set-operation arms count
-/// against the guard's nesting-depth budget. Guard violations surface as
-/// StatusCode::{kTimeout, kCancelled, kResourceExhausted}. A null guard
+/// charges its row/byte budgets, the deadline is polled from every
+/// materializing loop, and subquery / set-operation arms count against
+/// the guard's nesting-depth budget. Guard violations surface as
+/// StatusCode::{kTimeout, kResourceExhausted}. A null guard
 /// (the default) is the historical unguarded behaviour.
 class Executor {
  public:

@@ -26,9 +26,6 @@ constexpr size_t kNodeCapacity = kPageSize - kPageHeaderBytes;
 constexpr uint8_t kLeafType = 1;
 constexpr uint8_t kInternalType = 2;
 
-/// A delete that leaves a node under this many bytes triggers rebalancing.
-constexpr size_t kUnderflowBytes = kPageSize / 4;
-
 int CompareKeyRid(const sql::Value& a, const Rid& ar, const sql::Value& b,
                   const Rid& br) {
   int c = a.Compare(b);
@@ -73,11 +70,6 @@ std::string MakeInternalEntry(const std::string& fence, PageId child) {
   std::string out = fence;
   AppendU32(child, &out);
   return out;
-}
-
-void ReplaceFence(std::string* internal_entry, const std::string& fence) {
-  PageId child = InternalChild(*internal_entry);
-  *internal_entry = MakeInternalEntry(fence, child);
 }
 
 }  // namespace
@@ -309,135 +301,6 @@ Status BPlusTree::InsertRec(PageId node_id, const std::string& leaf_entry,
   return Status::Ok();
 }
 
-Status BPlusTree::Remove(const sql::Value& key, const Rid& rid) {
-  if (root_ == kInvalidPageId) {
-    return Status::NotFound("index entry not found");
-  }
-  bool removed = false;
-  CODES_RETURN_IF_ERROR(RemoveRec(root_, key, rid, &removed));
-  if (!removed) return Status::NotFound("index entry not found");
-  Node root;
-  CODES_RETURN_IF_ERROR(LoadNode(pool_, root_, &root));
-  if (!root.leaf && root.entries.empty()) {
-    root_ = root.leftmost;  // height shrinks; old root page is abandoned
-  }
-  return Status::Ok();
-}
-
-Status BPlusTree::RemoveRec(PageId node_id, const sql::Value& key,
-                            const Rid& rid, bool* removed) {
-  Node node;
-  CODES_RETURN_IF_ERROR(LoadNode(pool_, node_id, &node));
-
-  if (node.leaf) {
-    for (size_t i = 0; i < node.entries.size(); ++i) {
-      sql::Value ekey;
-      Rid erid;
-      CODES_RETURN_IF_ERROR(ParseEntryKey(node.entries[i], &ekey, &erid));
-      int cmp = CompareKeyRid(ekey, erid, key, rid);
-      if (cmp == 0) {
-        node.entries.erase(node.entries.begin() + i);
-        *removed = true;
-        return StoreNode(pool_, node_id, node);
-      }
-      if (cmp > 0) break;
-    }
-    *removed = false;
-    return Status::Ok();
-  }
-
-  CODES_ASSIGN_OR_RETURN(int pos, DescendPosition(node, key, rid));
-  PageId child =
-      pos < 0 ? node.leftmost : InternalChild(node.entries[pos]);
-  CODES_RETURN_IF_ERROR(RemoveRec(child, key, rid, removed));
-  if (!*removed) return Status::Ok();
-  CODES_RETURN_IF_ERROR(RebalanceChild(&node, node_id, pos));
-  return StoreNode(pool_, node_id, node);
-}
-
-Status BPlusTree::RebalanceChild(Node* parent, PageId parent_id,
-                                 int child_pos) {
-  (void)parent_id;
-  PageId child_id = child_pos < 0 ? parent->leftmost
-                                  : InternalChild(parent->entries[child_pos]);
-  Node child;
-  CODES_RETURN_IF_ERROR(LoadNode(pool_, child_id, &child));
-  if (NodeBytes(child) >= kUnderflowBytes) return Status::Ok();
-  int count = static_cast<int>(parent->entries.size());
-  if (count == 0) return Status::Ok();  // no sibling (only at the root)
-
-  if (child_pos < count - 1) {
-    // Rebalance against the RIGHT sibling.
-    int sib_pos = child_pos + 1;
-    PageId sib_id = InternalChild(parent->entries[sib_pos]);
-    Node sib;
-    CODES_RETURN_IF_ERROR(LoadNode(pool_, sib_id, &sib));
-    std::string sib_fence = FenceOf(parent->entries[sib_pos]);
-    size_t merge_extra = child.leaf ? 0 : 2 + sib_fence.size() + 4;
-    if (NodeBytes(child) + (NodeBytes(sib) - kNodeHeader) + merge_extra <=
-        kNodeCapacity) {
-      // Merge sibling into child; the sibling's page is abandoned (the
-      // file has no free list — space is reclaimed only by a rebuild).
-      if (!child.leaf) {
-        child.entries.push_back(MakeInternalEntry(sib_fence, sib.leftmost));
-      }
-      for (auto& e : sib.entries) child.entries.push_back(std::move(e));
-      if (child.leaf) child.next = sib.next;
-      parent->entries.erase(parent->entries.begin() + sib_pos);
-      return StoreNode(pool_, child_id, child);
-    }
-    // Borrow the sibling's first entry.
-    if (child.leaf) {
-      child.entries.push_back(sib.entries.front());
-      sib.entries.erase(sib.entries.begin());
-      ReplaceFence(&parent->entries[sib_pos], sib.entries.front());
-    } else {
-      child.entries.push_back(MakeInternalEntry(sib_fence, sib.leftmost));
-      sib.leftmost = InternalChild(sib.entries.front());
-      ReplaceFence(&parent->entries[sib_pos], FenceOf(sib.entries.front()));
-      sib.entries.erase(sib.entries.begin());
-    }
-    CODES_RETURN_IF_ERROR(StoreNode(pool_, child_id, child));
-    return StoreNode(pool_, sib_id, sib);
-  }
-
-  // Rebalance against the LEFT sibling (child is the rightmost child).
-  int sib_pos = child_pos - 1;
-  PageId sib_id = sib_pos < 0 ? parent->leftmost
-                              : InternalChild(parent->entries[sib_pos]);
-  Node sib;
-  CODES_RETURN_IF_ERROR(LoadNode(pool_, sib_id, &sib));
-  std::string child_fence = FenceOf(parent->entries[child_pos]);
-  size_t merge_extra = child.leaf ? 0 : 2 + child_fence.size() + 4;
-  if (NodeBytes(sib) + (NodeBytes(child) - kNodeHeader) + merge_extra <=
-      kNodeCapacity) {
-    // Merge child into the left sibling.
-    if (!child.leaf) {
-      sib.entries.push_back(MakeInternalEntry(child_fence, child.leftmost));
-    }
-    for (auto& e : child.entries) sib.entries.push_back(std::move(e));
-    if (child.leaf) sib.next = child.next;
-    parent->entries.erase(parent->entries.begin() + child_pos);
-    return StoreNode(pool_, sib_id, sib);
-  }
-  // Borrow the sibling's last entry.
-  if (child.leaf) {
-    child.entries.insert(child.entries.begin(), sib.entries.back());
-    sib.entries.pop_back();
-    ReplaceFence(&parent->entries[child_pos], child.entries.front());
-  } else {
-    std::string borrowed = sib.entries.back();
-    sib.entries.pop_back();
-    child.entries.insert(
-        child.entries.begin(),
-        MakeInternalEntry(child_fence, child.leftmost));
-    child.leftmost = InternalChild(borrowed);
-    ReplaceFence(&parent->entries[child_pos], FenceOf(borrowed));
-  }
-  CODES_RETURN_IF_ERROR(StoreNode(pool_, child_id, child));
-  return StoreNode(pool_, sib_id, sib);
-}
-
 Result<bool> BPlusTree::Contains(const sql::Value& key,
                                  const Rid& rid) const {
   CODES_ASSIGN_OR_RETURN(Iterator it, Seek(key));
@@ -485,11 +348,6 @@ Result<BPlusTree::Iterator> BPlusTree::SeekFirst() const {
     id = node.leftmost;
   }
   CODES_RETURN_IF_ERROR(LoadLeafInto(id, &it));
-  // Skip fully drained empty leaves (possible after deletes).
-  while (it.pos_ >= it.entries_.size() &&
-         it.next_leaf_ != kInvalidPageId) {
-    CODES_RETURN_IF_ERROR(LoadLeafInto(it.next_leaf_, &it));
-  }
   return it;
 }
 

@@ -4,18 +4,18 @@
 // Page-based B+ tree over the buffer pool, used for primary and secondary
 // indexes. Keys are composite (sql::Value, Rid): the RID tiebreak makes
 // every entry unique, which is how duplicate column values (secondary
-// indexes) get well-defined ordering and exact deletes. Value ordering is
+// indexes) get well-defined ordering. Value ordering is
 // sql::Value::Compare — numerically for INTEGER/REAL, lexicographically
 // for TEXT — which matches the executor's predicate semantics exactly when
 // a column is single-class (see ColumnIndexStats::ValueClass).
 //
 // Node pages hold variable-length serialized entries; splits fire when a
-// node overflows its page, merges/borrows fire when a delete leaves a node
-// under a quarter of a page. storage.split injects faults at split entry.
+// node overflows its page. storage.split injects faults at split entry.
+// The tree is insert-only: rows are bulk-loaded or appended, never deleted.
 //
-// Iterators are forward-only snapshots of one leaf at a time; ANY tree
-// mutation invalidates every outstanding iterator (the property test pins
-// this rule by re-seeking after each mutation batch).
+// Iterators are forward-only snapshots of one leaf at a time; ANY insert
+// invalidates every outstanding iterator (the property test pins this
+// rule by re-seeking after each insert batch).
 
 #include <cstdint>
 #include <memory>
@@ -43,9 +43,6 @@ class BPlusTree {
   struct Node;
 
   Status Insert(const sql::Value& key, const Rid& rid);
-
-  /// Removes the exact (key, rid) entry; NotFound when absent.
-  Status Remove(const sql::Value& key, const Rid& rid);
 
   Result<bool> Contains(const sql::Value& key, const Rid& rid) const;
 
@@ -93,9 +90,6 @@ class BPlusTree {
   Status InsertRec(PageId node_id, const std::string& leaf_entry,
                    const sql::Value& key, const Rid& rid,
                    InsertOutcome* outcome);
-  Status RemoveRec(PageId node_id, const sql::Value& key, const Rid& rid,
-                   bool* removed);
-  Status RebalanceChild(Node* parent, PageId parent_id, int child_pos);
 
   BufferPool* pool_;
   PageId root_;

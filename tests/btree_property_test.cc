@@ -1,8 +1,7 @@
-// Randomized property tests for the B+ tree: every operation is mirrored
-// into a std::multimap model keyed by (Value, Rid), and the tree must agree
-// with the model on lookups, full iteration order, range collection, and
-// entry counts — across enough volume to force multi-level splits and
-// enough deletion to force merges, borrows, and root collapse.
+// Randomized property tests for the insert-only B+ tree: every insert is
+// mirrored into a std::map model keyed by (Value, Rid), and the tree must
+// agree with the model on lookups, full iteration order, range collection,
+// and entry counts — across enough volume to force multi-level splits.
 
 #include <gtest/gtest.h>
 
@@ -67,7 +66,7 @@ void ExpectTreeMatchesModel(const BPlusTree& tree, const Model& model) {
   EXPECT_EQ(*count, model.size());
 }
 
-TEST(BTreePropertyTest, RandomInsertLookupDeleteAgreesWithModel) {
+TEST(BTreePropertyTest, RandomInsertLookupAgreesWithModel) {
   TreeFixture fx;
   Model model;
   Rng rng(0xB7EE5EEDULL);
@@ -92,33 +91,19 @@ TEST(BTreePropertyTest, RandomInsertLookupDeleteAgreesWithModel) {
     ModelKey mk{key, rid};
     bool in_model = model.count(mk) > 0;
 
-    switch (rng.Index(3)) {
-      case 0: {  // insert
-        Status s = fx.tree.Insert(key, rid);
-        if (in_model) {
-          EXPECT_EQ(s.code(), StatusCode::kInvalidArgument)
-              << "duplicate insert must be rejected";
-        } else {
-          ASSERT_TRUE(s.ok()) << s.ToString();
-          model.emplace(mk, true);
-        }
-        break;
+    if (rng.Index(2) == 0) {  // insert
+      Status s = fx.tree.Insert(key, rid);
+      if (in_model) {
+        EXPECT_EQ(s.code(), StatusCode::kInvalidArgument)
+            << "duplicate insert must be rejected";
+      } else {
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        model.emplace(mk, true);
       }
-      case 1: {  // remove
-        Status s = fx.tree.Remove(key, rid);
-        if (in_model) {
-          ASSERT_TRUE(s.ok()) << s.ToString();
-          model.erase(mk);
-        } else {
-          EXPECT_EQ(s.code(), StatusCode::kNotFound);
-        }
-        break;
-      }
-      default: {  // lookup
-        auto contains = fx.tree.Contains(key, rid);
-        ASSERT_TRUE(contains.ok());
-        EXPECT_EQ(*contains, in_model);
-      }
+    } else {  // lookup
+      auto contains = fx.tree.Contains(key, rid);
+      ASSERT_TRUE(contains.ok());
+      EXPECT_EQ(*contains, in_model);
     }
 
     if (step % 500 == 499) ExpectTreeMatchesModel(fx.tree, model);
@@ -127,7 +112,7 @@ TEST(BTreePropertyTest, RandomInsertLookupDeleteAgreesWithModel) {
   EXPECT_EQ(fx.pool.pinned_frames(), 0u);
 }
 
-TEST(BTreePropertyTest, BulkInsertThenDrainForcesSplitsAndRootCollapse) {
+TEST(BTreePropertyTest, ShuffledBulkInsertForcesInteriorSplits) {
   TreeFixture fx;
   Model model;
   Rng rng(0xC0FFEEULL);
@@ -150,21 +135,11 @@ TEST(BTreePropertyTest, BulkInsertThenDrainForcesSplitsAndRootCollapse) {
   }
   EXPECT_GT(fx.disk->page_count(), 3u) << "tree never split";
   ExpectTreeMatchesModel(fx.tree, model);
-
-  // Drain in a different shuffled order: exercises merge, borrow, and
-  // finally root collapse back to a single (possibly empty) leaf.
-  for (size_t i = entries.size(); i > 1; --i) {
-    std::swap(entries[i - 1], entries[rng.Index(i)]);
-  }
   for (const auto& [key, rid] : entries) {
-    ASSERT_TRUE(fx.tree.Remove(key, rid).ok());
-    model.erase(ModelKey{key, rid});
+    auto contains = fx.tree.Contains(key, rid);
+    ASSERT_TRUE(contains.ok());
+    EXPECT_TRUE(*contains);
   }
-  ExpectTreeMatchesModel(fx.tree, model);
-  EXPECT_EQ(model.size(), 0u);
-  auto empty_it = fx.tree.SeekFirst();
-  ASSERT_TRUE(empty_it.ok());
-  EXPECT_FALSE(empty_it->Valid());
   EXPECT_EQ(fx.pool.pinned_frames(), 0u);
 }
 
@@ -190,14 +165,13 @@ TEST(BTreePropertyTest, DuplicateKeysKeepDistinctRidsInRidOrder) {
   ASSERT_EQ(collected.size(), 21u);
   EXPECT_TRUE(std::is_sorted(collected.begin(), collected.end()));
 
-  // Removing one RID leaves the other 20.
-  ASSERT_TRUE(fx.tree.Remove(dup, Rid{10, 0}).ok());
+  // Each RID is its own entry: an unseen RID of the same key is absent.
   auto count = fx.tree.CountEntries();
   ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 20u);
-  auto gone = fx.tree.Contains(dup, Rid{10, 0});
-  ASSERT_TRUE(gone.ok());
-  EXPECT_FALSE(*gone);
+  EXPECT_EQ(*count, 21u);
+  auto absent = fx.tree.Contains(dup, Rid{5, 2});
+  ASSERT_TRUE(absent.ok());
+  EXPECT_FALSE(*absent);
 }
 
 TEST(BTreePropertyTest, CollectRangeMatchesModelOnRandomBounds) {
@@ -264,15 +238,15 @@ TEST(BTreePropertyTest, SeekLandsOnFirstEntryAtLeastKey) {
   }
 }
 
-TEST(BTreePropertyTest, IteratorReSeekAfterMutationSeesNewState) {
-  // The documented invalidation rule: any mutation invalidates live
+TEST(BTreePropertyTest, IteratorReSeekAfterInsertSeesNewState) {
+  // The documented invalidation rule: any insert invalidates live
   // iterators; correctness is defined by what a FRESH seek observes.
   TreeFixture fx;
-  for (int i = 0; i < 50; ++i) {
+  for (int i = 0; i < 50; i += 2) {  // even keys 0..48
     ASSERT_TRUE(
         fx.tree.Insert(Value(static_cast<int64_t>(i)), Rid{0, 0}).ok());
   }
-  ASSERT_TRUE(fx.tree.Remove(Value(int64_t{25}), Rid{0, 0}).ok());
+  ASSERT_TRUE(fx.tree.Insert(Value(int64_t{25}), Rid{0, 0}).ok());
   ASSERT_TRUE(fx.tree.Insert(Value(int64_t{1000}), Rid{0, 0}).ok());
 
   auto it = fx.tree.Seek(Value(int64_t{24}));
@@ -281,7 +255,10 @@ TEST(BTreePropertyTest, IteratorReSeekAfterMutationSeesNewState) {
   EXPECT_EQ(it->key().AsInteger(), 24);
   ASSERT_TRUE(it->Advance().ok());
   ASSERT_TRUE(it->Valid());
-  EXPECT_EQ(it->key().AsInteger(), 26) << "removed key must be skipped";
+  EXPECT_EQ(it->key().AsInteger(), 25) << "inserted key must be seen";
+  ASSERT_TRUE(it->Advance().ok());
+  ASSERT_TRUE(it->Valid());
+  EXPECT_EQ(it->key().AsInteger(), 26);
 
   auto tail = fx.tree.Seek(Value(int64_t{999}));
   ASSERT_TRUE(tail.ok());

@@ -177,68 +177,12 @@ TEST_F(TraceTest, SpanFeedsNamedHistogram) {
   EXPECT_EQ(hist.TotalCount(), 2u);
 }
 
-TEST_F(TraceTest, RecorderCapturesPreOrderTreeWithDepths) {
-  TraceRecorder recorder;
-  {
-    TraceSpan root("request");
-    {
-      TraceSpan child_a("stage_a");
-      { TraceSpan grandchild("stage_a_inner"); }
-    }
-    { TraceSpan child_b("stage_b"); }
-  }
-  const auto& events = recorder.events();
-  ASSERT_EQ(events.size(), 4u);
-  // Pre-order: a parent precedes its children; depth tracks nesting.
-  EXPECT_STREQ(events[0].name, "request");
-  EXPECT_EQ(events[0].depth, 0);
-  EXPECT_STREQ(events[1].name, "stage_a");
-  EXPECT_EQ(events[1].depth, 1);
-  EXPECT_STREQ(events[2].name, "stage_a_inner");
-  EXPECT_EQ(events[2].depth, 2);
-  EXPECT_STREQ(events[3].name, "stage_b");
-  EXPECT_EQ(events[3].depth, 1);
-  // The root's duration covers its children.
-  EXPECT_GE(events[0].duration_us, events[1].duration_us);
-  EXPECT_GE(events[1].duration_us, events[2].duration_us);
-
-  std::string rendered = recorder.ToString();
-  EXPECT_NE(rendered.find("request"), std::string::npos);
-  EXPECT_NE(rendered.find("stage_a_inner"), std::string::npos);
-  std::string json = recorder.ToJson();
-  EXPECT_NE(json.find("\"name\": \"stage_b\""), std::string::npos) << json;
-}
-
-TEST_F(TraceTest, RecordersNestAndRestore) {
-  TraceRecorder outer;
-  { TraceSpan span("outer_only"); }
-  {
-    TraceRecorder inner;
-    { TraceSpan span("inner_only"); }
-    ASSERT_EQ(inner.events().size(), 1u);
-    EXPECT_STREQ(inner.events()[0].name, "inner_only");
-  }
-  { TraceSpan span("outer_again"); }
-  ASSERT_EQ(outer.events().size(), 2u);
-  EXPECT_STREQ(outer.events()[0].name, "outer_only");
-  EXPECT_STREQ(outer.events()[1].name, "outer_again");
-}
-
-TEST_F(TraceTest, DisabledRegistrySkipsHistogramButRecorderStillWorks) {
+TEST_F(TraceTest, DisabledRegistrySkipsHistogram) {
   MetricsRegistry::SetEnabled(false);
-  {
-    TraceRecorder recorder;
-    {
-      CODES_TRACE_SPAN(span, "test.trace_disabled");
-    }
-    // The recorder still sees the span (an installed recorder arms it)...
-    EXPECT_EQ(recorder.events().size(), 1u);
-  }
   {
     CODES_TRACE_SPAN(span, "test.trace_disabled");
   }
   MetricsRegistry::SetEnabled(true);
-  // ...but the histogram was never fed while disabled.
   EXPECT_EQ(MetricsRegistry::Global()
                 .GetHistogram("span.test.trace_disabled")
                 .TotalCount(),

@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
+#include <latch>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -805,6 +808,38 @@ TEST_F(ServeFrontEndTest, TryServeAsyncCompletesThroughThePool) {
   auto [status, sql] = fut.get();
   EXPECT_TRUE(status.ok()) << status.ToString();
   EXPECT_FALSE(sql.empty());
+}
+
+TEST_F(ServeFrontEndTest, TryServeAsyncShedsRequestsExpiredInBacklog) {
+  FrontEndOptions options;
+  options.default_deadline_us = 1000;
+  ServeFrontEnd fe(pipeline_, bench_, options);
+  std::latch release(1);
+  std::promise<std::pair<Status, std::string>> done;
+  auto fut = done.get_future();
+  // Declared last so its workers are joined before what they touch dies.
+  ThreadPool pool(1);
+  // Hold the only worker so the request waits in the pool's backlog.
+  pool.Submit([&release]() { release.wait(); });
+  ASSERT_TRUE(fe.TryServeAsync(
+      bench_->dev.front(), &pool,
+      [&done](const Status& status, const std::string& sql,
+              const ServeReport&) {
+        done.set_value({status, sql});
+      }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  release.count_down();
+  auto [status, sql] = fut.get();
+  EXPECT_EQ(status.code(), StatusCode::kTimeout) << status.ToString();
+  EXPECT_TRUE(sql.empty());
+
+  MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(CounterDelta(snapshot, "serve.shed.deadline"), 1u);
+  EXPECT_EQ(CounterDelta(snapshot, "serve.offered"), 1u);
+  EXPECT_EQ(CounterDelta(snapshot, "serve.admitted") +
+                CounterDelta(snapshot, "serve.rejected") +
+                CounterDelta(snapshot, "serve.shed"),
+            CounterDelta(snapshot, "serve.offered"));
 }
 
 TEST(ServeStageTest, StageNamesAreStable) {
